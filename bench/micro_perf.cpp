@@ -1,11 +1,17 @@
 // Microbenchmarks (google-benchmark) for the hot paths: the DES calendar,
-// the CTMC HAP simulator, the steady-state solvers (cold, warm-started, and
-// block-tridiagonal direct), and Solution 2.
+// the CTMC HAP simulator, the exponential inversion (BlockRng's block
+// kernel against scalar libm log1p), the steady-state solvers (cold,
+// warm-started, and block-tridiagonal direct), and Solution 2.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/hap.hpp"
 #include "markov/ctmc.hpp"
+#include "sim/neglog1m.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -42,6 +48,32 @@ void BM_HapSimulator(benchmark::State& state) {
                             state.range(0) * 17);  // ~17 events per model second
 }
 BENCHMARK(BM_HapSimulator)->Arg(1000)->Arg(10000);
+
+// One exponential draw through BlockRng: the amortized block refill
+// (uniforms plus the vector inversion of every slot) and the divide. The
+// label names the inversion path this host runs ("avx512" or "libm").
+void BM_BlockRngExponential(benchmark::State& state) {
+    hap::sim::RandomStream stream(1);
+    hap::sim::BlockRng rng(stream);
+    for (auto _ : state) benchmark::DoNotOptimize(rng.exponential(17.0));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.SetLabel(hap::sim::neglog1m_path());
+}
+BENCHMARK(BM_BlockRngExponential);
+
+// The scalar inversion BlockRng replaced: -log1p(-u) through libm on a
+// block of uniforms, per value.
+void BM_Log1pLibm(benchmark::State& state) {
+    hap::sim::RandomStream stream(1);
+    std::vector<double> u(hap::sim::BlockRng::kBlock);
+    stream.fill_uniforms(u.data(), u.size());
+    for (auto _ : state) {
+        for (double v : u) benchmark::DoNotOptimize(-std::log1p(-v));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(u.size()));
+}
+BENCHMARK(BM_Log1pLibm);
 
 void BM_SteadyStateSolve(benchmark::State& state) {
     const HapParams p = HapParams::paper_baseline(20.0);

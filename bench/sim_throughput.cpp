@@ -28,6 +28,7 @@
 #include "bench_util.hpp"
 #include "core/hap.hpp"
 #include "queueing/queue_sim.hpp"
+#include "sim/neglog1m.hpp"
 #include "traffic/poisson.hpp"
 
 namespace {
@@ -114,6 +115,11 @@ int main(int argc, char** argv) {
         "(11-18) and statistical suite fast as event counts scale up");
 
     JsonWriter json("sim_throughput");
+    // The exponential inversion path: "libm" on a host without the AVX-512
+    // kernel (or whose libm the kernel does not match) explains a slower
+    // run without changing a single event count.
+    const char* exp_path = hap::sim::neglog1m_path();
+    std::printf("exponential inversion: %s\n\n", exp_path);
 
     // Reference lane: the Fig. 12 load=0.8 workload (5 app types x 3 message
     // types, the paper baseline every simulated figure reuses).
@@ -144,6 +150,7 @@ int main(int argc, char** argv) {
         fig12.wall_s > 0.0 ? static_cast<double>(fig12.events) / fig12.wall_s : 0.0;
     json.meta("events_per_sec", Json::number(ref_eps));
     json.meta("ref_label", Json::string("fig12_ref"));
+    json.meta("exp_path", Json::string(exp_path));
     std::printf("\nreference lane (fig12_ref): %.3g events/sec\n", ref_eps);
 
     hap::bench::finish_json(json, hap::bench::json_path(argc, argv));

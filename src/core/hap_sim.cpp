@@ -67,7 +67,9 @@ struct QueuedMsg {
 //   * Block RNG. Uniforms come from sim::BlockRng, which buffers draws from
 //     the same distribution object in the same order and rewinds/replays the
 //     stream on finish, so the consumed sequence and the stream's final
-//     state both match scalar use.
+//     state both match scalar use. Each refill also inverts the whole block
+//     (-log1p(-u) in one vector pass, bit for bit libm's value), so the
+//     per-event exponential is a load and a divide.
 //   * Phase split. The loop runs a warmup phase with every guard live, then
 //     switches (once `now` passes the warmup point, i.e. every later event's
 //     hold interval starts post-warmup) to a steady-state phase where warmup

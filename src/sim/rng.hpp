@@ -14,6 +14,8 @@
 #include <random>
 #include <string_view>
 
+#include "sim/neglog1m.hpp"
+
 namespace hap::sim {
 
 // SplitMix64 step; used to derive independent substream seeds.
@@ -106,7 +108,10 @@ private:
 // integer->double divide) on the event loop's critical path. BlockRng
 // refills a small buffer in one tight pass — the conversions pipeline
 // instead of serializing against simulation logic — and the hot path is a
-// load + pointer bump.
+// load + pointer bump. The refill also inverts the whole block for
+// exponential() in one vector pass (sim/neglog1m.hpp), which costs less
+// than the scalar log1p calls it replaces even though only some of the
+// slots are drawn as exponentials.
 //
 // Draw-sequence contract (the property every golden test leans on):
 //   * uniform() returns exactly the sequence stream.uniform() would have —
@@ -134,9 +139,11 @@ public:
         return buf_[pos_++];
     }
 
-    // Exponential with given rate; same inversion as RandomStream::exponential.
+    // Exponential with given rate: the same double RandomStream::exponential
+    // returns, -log1p(-u)/rate, with -log1p(-u) precomputed per block.
     double exponential(double rate) {
-        return -std::log1p(-uniform()) / rate;
+        if (pos_ == filled_) refill();
+        return nlog_[pos_++] / rate;
     }
 
     // Rewind the stream to the last snapshot and replay exactly the draws
@@ -155,6 +162,7 @@ private:
     void refill() {
         snapshot_ = stream_.engine();
         stream_.fill_uniforms(buf_, kBlock);
+        neglog1m_block(buf_, nlog_, kBlock);
         pos_ = 0;
         filled_ = kBlock;
     }
@@ -163,7 +171,8 @@ private:
     std::mt19937_64 snapshot_;
     std::size_t pos_ = 0;
     std::size_t filled_ = 0;
-    double buf_[kBlock];
+    alignas(64) double buf_[kBlock];
+    alignas(64) double nlog_[kBlock];  // nlog_[i] = -log1p(-buf_[i])
 };
 
 }  // namespace hap::sim

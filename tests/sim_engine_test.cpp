@@ -1,17 +1,23 @@
 // Event-engine overhaul tests: ring-buffer FIFO semantics, the BlockRng
-// draw-sequence contract, devirtualized-vs-virtual kernel identity, the
+// draw-sequence contract, the block exponential inversion's bit-for-bit
+// agreement with std::log1p, devirtualized-vs-virtual kernel identity, the
 // "events executed" counter semantics, and the HapSource incremental-rate
 // regression against a per-iteration re-derivation of the historical code.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/hap_params.hpp"
 #include "core/hap_sim.hpp"
 #include "queueing/queue_sim.hpp"
 #include "sim/distributions.hpp"
+#include "sim/neglog1m.hpp"
 #include "sim/ring_buffer.hpp"
 #include "sim/rng.hpp"
 #include "traffic/onoff.hpp"
@@ -113,6 +119,28 @@ TEST(BlockRng, MatchesScalarDrawSequence) {
             EXPECT_EQ(blk.uniform(), scalar.uniform()) << "draw " << i;
         }
     }
+
+    // Exponential-heavy pattern (the precomputed inversion's hot case) over
+    // many refills and rates spanning nine decades; compared bit for bit.
+    const double rates[] = {1e-3, 0.5, 2.5, 17.0, 1e6};
+    RandomStream heavy_blocked(777);
+    RandomStream heavy_scalar(777);
+    {
+        BlockRng heavy(heavy_blocked);
+        for (int i = 0; i < 40 * static_cast<int>(BlockRng::kBlock) + 77; ++i) {
+            if (i % 5 == 4) {
+                ASSERT_EQ(heavy.uniform(), heavy_scalar.uniform()) << "draw " << i;
+            } else {
+                const double rate = rates[static_cast<std::size_t>(i) % 5];
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(heavy.exponential(rate)),
+                          std::bit_cast<std::uint64_t>(heavy_scalar.exponential(rate)))
+                    << "draw " << i << " rate " << rate;
+            }
+        }
+    }  // finish() after a partial block: the stream must match scalar use
+    for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(heavy_blocked.exponential(17.0), heavy_scalar.exponential(17.0));
+    }
 }
 
 TEST(BlockRng, FinishRestoresStreamStateExactly) {
@@ -133,6 +161,131 @@ TEST(BlockRng, UnusedBlockLeavesStreamUntouched) {
     RandomStream scalar(7);
     { BlockRng blk(blocked); }  // never drew: stream must be untouched
     for (int i = 0; i < 100; ++i) EXPECT_EQ(blocked.uniform(), scalar.uniform());
+}
+
+// --------------------------------------------------------------------------
+// Block exponential inversion: neglog1m_block == -std::log1p(-u), bit for bit
+
+using Neglog1mFn = void (*)(const double*, double*, std::size_t);
+
+// Runs fn over u and counts outputs whose bits differ from -std::log1p(-u),
+// reporting the first few with their inputs in hex.
+std::size_t count_libm_mismatches(Neglog1mFn fn, const std::vector<double>& u) {
+    std::vector<double> out(u.size());
+    fn(u.data(), out.data(), u.size());
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < u.size(); ++i) {
+        const double want = -std::log1p(-u[i]);
+        if (std::bit_cast<std::uint64_t>(out[i]) == std::bit_cast<std::uint64_t>(want)) continue;
+        if (bad++ < 5) {
+            char line[160];
+            std::snprintf(line, sizeof(line), "u=%a: got %a, libm %a", u[i], out[i], want);
+            ADD_FAILURE() << line;
+        }
+    }
+    return bad;
+}
+
+double from_words(std::uint64_t hi, std::uint64_t lo) {
+    return std::bit_cast<double>(hi << 32 | lo);
+}
+
+// The kernel's knife edges, as uniforms u (the kernel sees x = -u).
+std::vector<double> targeted_uniforms() {
+    std::vector<double> u = {0.0, std::nextafter(1.0, 0.0), 0.5, 0.25};
+    // Subnormal and tiny u, across the |x| < 2^-54 and |x| < 2^-29 cutoffs.
+    for (std::uint64_t k = 1; k <= 64; ++k) u.push_back(std::bit_cast<double>(k));
+    u.push_back(std::numeric_limits<double>::min());
+    for (double edge : {0x1p-54, 0x1p-29}) {
+        double below = edge;
+        double above = edge;
+        for (int k = 0; k < 64; ++k) {
+            u.push_back(below);
+            u.push_back(above);
+            below = std::nextafter(below, 0.0);
+            above = std::nextafter(above, 1.0);
+        }
+    }
+    // Every -u high word 0xbfd2bec3 / 0xbfd2bec4 (the k = 0 cutoff): both
+    // ends of the low word and a seeded spread across it.
+    RandomStream lows(0xbfd2bec3);
+    for (std::uint64_t hi : {0x3fd2bec3ULL, 0x3fd2bec4ULL}) {
+        for (std::uint64_t lo = 0; lo < 4096; ++lo) {
+            u.push_back(from_words(hi, lo));
+            u.push_back(from_words(hi, 0xffffffffULL - lo));
+        }
+        for (int k = 0; k < 65536; ++k) u.push_back(from_words(hi, lows.next_u64() & 0xffffffffULL));
+    }
+    // 1 - u around the 0x6a09e normalization switch, for every binade of
+    // 1 - u a uniform can reach.
+    for (std::uint64_t e = 1; e <= 53; ++e) {
+        for (std::uint64_t hm = 0x6a09bULL; hm <= 0x6a0a1ULL; ++hm) {
+            for (std::uint64_t lo : {0x0ULL, 0x1ULL, 0x667f3bcdULL, 0xfffffffeULL, 0xffffffffULL})
+                u.push_back(1.0 - from_words((1023 - e) << 20 | hm, lo));
+        }
+    }
+    // 1 - u at and next to powers of two (u = 0.5, 0.75, 0.875, ...): the
+    // reduced argument's hu == 0 lanes.
+    for (int e = 1; e <= 53; ++e) {
+        const double at = 1.0 - std::ldexp(1.0, -e);
+        double below = at;
+        double above = at;
+        for (int k = 0; k < 8; ++k) {
+            u.push_back(below);
+            if (above < 1.0) u.push_back(above);
+            below = std::nextafter(below, 0.0);
+            above = std::nextafter(above, 1.0);
+        }
+    }
+    return u;
+}
+
+TEST(Neglog1m, MatchesLibmOnTargetedInputs) {
+    const std::vector<double> u = targeted_uniforms();
+    EXPECT_EQ(count_libm_mismatches(hap::sim::neglog1m_block, u), 0u)
+        << "active path " << hap::sim::neglog1m_path();
+    EXPECT_EQ(count_libm_mismatches(hap::sim::detail::neglog1m_block_libm, u), 0u);
+}
+
+TEST(Neglog1m, MatchesLibmOnSeededUniforms) {
+    // 10^7 canonical uniforms, in BlockRng-sized chunks, on the active path
+    // (the kernel itself whenever the probe admitted it).
+    RandomStream stream(hap::sim::substream_seed(12, 0, hap::sim::component_id("neglog1m.diff")));
+    std::vector<double> u(8 * BlockRng::kBlock);
+    std::size_t bad = 0;
+    for (std::size_t done = 0; done < 10'000'000; done += u.size()) {
+        stream.fill_uniforms(u.data(), u.size());
+        bad += count_libm_mismatches(hap::sim::neglog1m_block, u);
+    }
+    EXPECT_EQ(bad, 0u) << "active path " << hap::sim::neglog1m_path();
+}
+
+TEST(Neglog1m, RawKernelMatchesLibmWhenAdmitted) {
+    // The probe only admits the kernel if it agrees with this libm; when it
+    // does, the ungated kernel must agree on the targeted set too, including
+    // block lengths that leave a scalar tail.
+    const double half = 0.5;
+    double out = 0.0;
+    if (!hap::sim::detail::neglog1m_block_avx512(&half, &out, 1)) {
+        EXPECT_EQ(std::string(hap::sim::neglog1m_path()), "libm");
+        GTEST_SKIP() << "no AVX-512F/DQ kernel in this build; the libm path is active";
+    }
+#if defined(__GLIBC__) && __GLIBC__ == 2 && __GLIBC_MINOR__ == 36
+    // The kernel transcribes this glibc's log1p (its FMA ifunc variant, the
+    // one every AVX-512 CPU resolves), so here a rejection is a kernel bug.
+    ASSERT_EQ(std::string(hap::sim::neglog1m_path()), "avx512");
+#endif
+    if (std::string(hap::sim::neglog1m_path()) != "avx512")
+        GTEST_SKIP() << "kernel compiled in but rejected by the probe (foreign libm)";
+    const Neglog1mFn raw = [](const double* in, double* o, std::size_t n) {
+        (void)hap::sim::detail::neglog1m_block_avx512(in, o, n);
+    };
+    const std::vector<double> u = targeted_uniforms();
+    EXPECT_EQ(count_libm_mismatches(raw, u), 0u);
+    for (std::size_t n : {1u, 7u, 9u, 13u}) {
+        const std::vector<double> tail(u.end() - static_cast<std::ptrdiff_t>(n), u.end());
+        EXPECT_EQ(count_libm_mismatches(raw, tail), 0u) << "n=" << n;
+    }
 }
 
 // --------------------------------------------------------------------------

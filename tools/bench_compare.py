@@ -24,8 +24,9 @@ usage: bench_compare.py BASELINE CURRENT [--max-regress 0.10] [--min-slack 10]
 Exit status: 0 = no regressions, 1 = regressions found, 2 = unusable input
 (missing file, bad JSON, wrong schema, malformed points). --allow-missing
 downgrades a missing BASELINE to a note + exit 0, for benches that have no
-recorded baseline yet. The CI job runs this with continue-on-error, so a red
-result annotates the run without gating the merge.
+recorded baseline yet. CI runs the solver comparison with continue-on-error,
+so a red result annotates the run without gating the merge; the simulator
+comparison gates, because its event counts are exact.
 """
 
 import argparse
