@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot paths: the DES calendar,
 // the CTMC HAP simulator, the exponential inversion (BlockRng's block
 // kernel against scalar libm log1p), the steady-state solvers (cold,
-// warm-started, and block-tridiagonal direct), and Solution 2.
+// warm-started, and block-tridiagonal direct), Solution 0's line sweep, and
+// Solution 2.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 
 #include "bench_util.hpp"
 #include "core/hap.hpp"
+#include "core/line_sweep.hpp"
 #include "markov/ctmc.hpp"
 #include "sim/neglog1m.hpp"
 #include "sim/rng.hpp"
@@ -74,6 +76,43 @@ void BM_Log1pLibm(benchmark::State& state) {
                             static_cast<std::int64_t>(u.size()));
 }
 BENCHMARK(BM_Log1pLibm);
+
+// One Solution 0 line-relaxation sweep on the Fig. 12 box (21 x 51 x 301,
+// mu'' = 17), alternating direction like the solver, in lattice states per
+// second. The label names the kernel path ("avx2" or "scalar").
+void BM_Solution0LineSweep(benchmark::State& state) {
+    const HapParams p = HapParams::paper_baseline(17.0);
+    const ApplicationType& app = p.apps.front();
+    detail::Rates r{};
+    r.dynamic_users = true;
+    r.lambda = p.user_arrival_rate;
+    r.mu = p.user_departure_rate;
+    r.alpha = static_cast<double>(p.num_app_types()) * app.arrival_rate;
+    r.mu1 = app.departure_rate;
+    r.beta = app.total_message_rate();
+    r.mu2 = app.messages.front().service_rate;
+    const detail::Grid g = detail::make_grid(0, 20, 50, 300);
+    std::vector<double> pi(g.size());
+    for (std::size_t line = 0; line < g.nx * g.ny; ++line) {
+        double v = 1.0;
+        for (std::size_t z = 0; z < g.nz; ++z) {
+            pi[line * g.nz + z] = v;
+            v *= 0.9;
+        }
+    }
+    detail::LineWorkspace ws;
+    bool forward = true;
+    for (auto _ : state) {
+        detail::line_sweep(g, r, pi.data(), forward, ws);
+        forward = !forward;
+        benchmark::DoNotOptimize(pi.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(g.size()));
+    state.SetLabel(detail::line_sweep_path());
+}
+BENCHMARK(BM_Solution0LineSweep);
 
 void BM_SteadyStateSolve(benchmark::State& state) {
     const HapParams p = HapParams::paper_baseline(20.0);

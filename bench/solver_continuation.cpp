@@ -20,6 +20,7 @@
 
 #include "bench_util.hpp"
 #include "core/hap.hpp"
+#include "core/line_sweep.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -59,8 +60,10 @@ int main(int argc, char** argv) {
 
     hap::bench::header("solver_continuation",
                        "warm-start + adaptive-truncation speedup on the Fig. 12 load sweep");
-    std::printf("engine: %s (HAP_BENCH_WARM=0 to disable)\n\n",
+    std::printf("engine: %s (HAP_BENCH_WARM=0 to disable)\n",
                 hap::bench::warm_starts() ? "on" : "off");
+    const char* sweep_path = detail::line_sweep_path();
+    std::printf("line sweep: %s\n\n", sweep_path);
 
     // 15 points at scale 1; HAP_BENCH_SCALE densifies the grid.
     const std::size_t npoints = std::clamp<std::size_t>(
@@ -170,6 +173,7 @@ int main(int argc, char** argv) {
     json.meta("iterations_warm", Json::integer(warm_iters));
     json.meta("iteration_ratio", Json::number(ratio));
     json.meta("warm_enabled", Json::boolean(hap::bench::warm_starts()));
+    json.meta("line_sweep_path", Json::string(sweep_path));
     json.meta("grid_points", Json::integer(static_cast<std::uint64_t>(npoints)));
     json.meta("worst_delay_delta", Json::number(worst_delay));
     json.meta("worst_util_delta", Json::number(worst_util));

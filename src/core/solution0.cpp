@@ -11,6 +11,7 @@
 
 #include "core/contracts.hpp"
 #include "core/hap_chain.hpp"
+#include "core/line_sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 
@@ -18,37 +19,10 @@ namespace hap::core {
 
 namespace {
 
-struct Grid {
-    std::size_t x_lo, x_hi, y_hi, z_hi;
-    std::size_t nx, ny, nz;
-
-    std::size_t size() const noexcept { return nx * ny * nz; }
-    std::size_t idx(std::size_t x, std::size_t y, std::size_t z) const noexcept {
-        return ((x - x_lo) * ny + y) * nz + z;
-    }
-};
-
-Grid make_grid(std::size_t x_lo, std::size_t x_hi, std::size_t y_hi, std::size_t z_hi) {
-    Grid g{};
-    g.x_lo = x_lo;
-    g.x_hi = x_hi;
-    g.y_hi = y_hi;
-    g.z_hi = z_hi;
-    g.nx = x_hi - x_lo + 1;
-    g.ny = y_hi + 1;
-    g.nz = z_hi + 1;
-    return g;
-}
-
-struct Rates {
-    bool dynamic_users;
-    double lambda;   // user arrival
-    double mu;       // user departure (per user)
-    double alpha;    // app arrival per user (l * lambda')
-    double mu1;      // app departure (per instance)
-    double beta;     // message rate per app instance (m * lambda'')
-    double mu2;      // message service rate
-};
+using detail::Grid;
+using detail::LineWorkspace;
+using detail::make_grid;
+using detail::Rates;
 
 struct Observables {
     double mean_z = 0.0;
@@ -65,6 +39,8 @@ struct Observables {
 
 Observables measure(const Grid& g, const Rates& r, const std::vector<double>& pi) {
     Observables o;
+    // With pinned users (x_lo == x_hi) there is no x shell to truncate.
+    const std::size_t x_shell = r.dynamic_users ? g.x_hi : static_cast<std::size_t>(-1);
     for (std::size_t x = g.x_lo; x <= g.x_hi; ++x) {
         for (std::size_t y = 0; y <= g.y_hi; ++y) {
             const double arr = static_cast<double>(y) * r.beta;
@@ -79,91 +55,13 @@ Observables measure(const Grid& g, const Rates& r, const std::vector<double>& pi
                     o.sigma_den += p * arr;
                     if (z > 0) o.sigma_num += p * arr;
                 }
-                if (x == g.x_hi || y == g.y_hi || z == g.z_hi) o.boundary += p;
+                if (x == x_shell || y == g.y_hi || z == g.z_hi) o.boundary += p;
                 if (y == g.y_hi) o.boundary_y += p;
                 if (z == g.z_hi) o.boundary_z += p;
             }
         }
     }
     return o;
-}
-
-// One line-relaxation sweep (Gauss-Seidel over (x, y) lines, exact
-// tridiagonal solve along z). The z direction is the stiff one — message
-// rates are orders of magnitude above the modulating rates — so solving each
-// z-line exactly via the Thomas algorithm collapses what would be thousands
-// of point-GS sweeps into the slow (x, y) diffusion alone. `forward`
-// alternates the (x, y) traversal direction.
-struct LineWorkspace {
-    std::vector<double> cp;   // Thomas forward-elimination coefficients
-    std::vector<double> rhs;  // lateral inflow S(z), then back-substituted
-};
-
-void sweep(const Grid& g, const Rates& r, std::vector<double>& pi, bool forward,
-           LineWorkspace& ws) {
-    const std::size_t xy_stride = g.ny * g.nz;
-    ws.cp.resize(g.nz);
-    ws.rhs.resize(g.nz);
-    for (std::size_t xi = 0; xi < g.nx; ++xi) {
-        const std::size_t x = g.x_lo + (forward ? xi : g.nx - 1 - xi);
-        const double xd = static_cast<double>(x);
-        const std::size_t xoff = (x - g.x_lo) * xy_stride;
-        for (std::size_t yi = 0; yi < g.ny; ++yi) {
-            const std::size_t y = forward ? yi : g.ny - 1 - yi;
-            const double yd = static_cast<double>(y);
-            const double arr = yd * r.beta;
-
-            double* cur = pi.data() + xoff + y * g.nz;
-            const double* xlo = x > g.x_lo ? cur - xy_stride : nullptr;
-            const double* xhi = x < g.x_hi ? cur + xy_stride : nullptr;
-            const double* ylo = y > 0 ? cur - g.nz : nullptr;
-            const double* yhi = y < g.y_hi ? cur + g.nz : nullptr;
-
-            // Diagonal contribution shared by every z on this line.
-            double out_base = yd * r.mu1;
-            if (r.dynamic_users) {
-                if (x < g.x_hi) out_base += r.lambda;
-                out_base += xd * r.mu;
-            }
-            if (y < g.y_hi) out_base += xd * r.alpha;
-            const double w_xlo = r.lambda;
-            const double w_xhi = (xd + 1.0) * r.mu;
-            const double w_ylo = xd * r.alpha;
-            const double w_yhi = (yd + 1.0) * r.mu1;
-
-            // Lateral inflow S(z) from the four neighbor lines.
-            for (std::size_t z = 0; z < g.nz; ++z) {
-                double s = 0.0;
-                if (xlo) s += w_xlo * xlo[z];
-                if (xhi) s += w_xhi * xhi[z];
-                if (ylo) s += w_ylo * ylo[z];
-                if (yhi) s += w_yhi * yhi[z];
-                ws.rhs[z] = s;
-            }
-
-            // Tridiagonal system along z:
-            //   -arr * p[z-1] + out(z) * p[z] - mu2 * p[z+1] = S(z),
-            // out(z) = out_base + arr [z < z_hi] + mu2 [z > 0]. Diagonally
-            // dominant (out >= arr + mu2 + lateral), so Thomas is stable.
-            {
-                double b0 = out_base + (g.z_hi > 0 ? arr : 0.0);
-                if (b0 <= 0.0) b0 = 1.0;  // isolated state; keeps div sane
-                ws.cp[0] = -r.mu2 / b0;
-                ws.rhs[0] /= b0;
-                for (std::size_t z = 1; z < g.nz; ++z) {
-                    const double a = -arr;  // sub-diagonal
-                    double b = out_base + r.mu2 + (z < g.z_hi ? arr : 0.0);
-                    const double denom = b - a * ws.cp[z - 1];
-                    const double c = (z < g.z_hi) ? -r.mu2 : 0.0;
-                    ws.cp[z] = c / denom;
-                    ws.rhs[z] = (ws.rhs[z] - a * ws.rhs[z - 1]) / denom;
-                }
-                cur[g.nz - 1] = ws.rhs[g.nz - 1];
-                for (std::size_t z = g.nz - 1; z-- > 0;)
-                    cur[z] = ws.rhs[z] - ws.cp[z] * cur[z + 1];
-            }
-        }
-    }
 }
 
 void normalize(std::vector<double>& pi) {
@@ -258,7 +156,7 @@ BoxSolve solve_box(const Grid& g, const Rates& r, const std::vector<double>& mar
     double prev_delay = -1.0;
     double prev_z = -1.0;
     for (std::size_t s = 1; s <= max_sweeps; ++s) {
-        sweep(g, r, pi, (s % 2) == 1, ws);
+        detail::line_sweep(g, r, pi.data(), (s % 2) == 1, ws);
         project_marginal(g, marginal, pi);
         if (s % check_every == 0 || s == max_sweeps) {
             const Observables o = measure(g, r, pi);

@@ -1,8 +1,24 @@
 // Dedicated tests for the Solution 0 solver (line relaxation + marginal
 // projection on the (x, y, z) lattice).
+
+// The lexicographic oracle below must round where the line sweep rounds:
+// contraction off, every fusion written out (as in src/core/line_sweep.cpp).
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "core/hap.hpp"
+#include "core/line_sweep.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -35,6 +51,15 @@ TEST(Solution0, PinnedUserTwoLevelMatchesQbd) {
     ASSERT_TRUE(s3.qbd.stable);
     EXPECT_NEAR(s0.mean_delay, s3.qbd.mean_delay, 0.02 * s3.qbd.mean_delay);
     EXPECT_NEAR(s0.utilization, s3.qbd.utilization, 0.005);
+    // Pinned users have no x shell: the converged box must not report its
+    // whole mass as truncated.
+    EXPECT_LT(s0.truncation_mass, 1e-3);
+
+    Solution0Options d;
+    d.tol = 1e-8;
+    const auto s0d = solve_solution0(HapParams::two_level(0.01, 0.01, 2.0, 20.0), d);
+    ASSERT_TRUE(s0d.converged);
+    EXPECT_LT(s0d.truncation_mass, 1e-3);
 }
 
 TEST(Solution0, ModulatingMarginalsAreExact) {
@@ -177,6 +202,144 @@ TEST(Solution0, AdaptiveMatchesFixedBox) {
     EXPECT_LE(ad.states, fixed.states);
     EXPECT_NEAR(ad.mean_delay, fixed.mean_delay, 1e-6 * fixed.mean_delay);
     EXPECT_NEAR(ad.utilization, fixed.utilization, 1e-6 * fixed.utilization);
+}
+
+// ---- Line sweep kernel ---------------------------------------------------
+
+using detail::Grid;
+using detail::Rates;
+
+// The line sweep in plain lexicographic order, one line at a time: the
+// reference the anti-diagonal kernel must match bit for bit. Its fusions are
+// the ones GCC -O3 -march=native made in the original single-line sweep.
+void oracle_sweep(const Grid& g, const Rates& r, std::vector<double>& pi, bool forward) {
+    const std::size_t xy_stride = g.ny * g.nz;
+    std::vector<double> cp(g.nz);
+    std::vector<double> rhs(g.nz);
+    for (std::size_t xi = 0; xi < g.nx; ++xi) {
+        const std::size_t x = g.x_lo + (forward ? xi : g.nx - 1 - xi);
+        const double xd = static_cast<double>(x);
+        for (std::size_t yi = 0; yi < g.ny; ++yi) {
+            const std::size_t y = forward ? yi : g.ny - 1 - yi;
+            const double yd = static_cast<double>(y);
+            const double arr = yd * r.beta;
+            double* cur = pi.data() + g.idx(x, y, 0);
+            const double* xlo = x > g.x_lo ? cur - xy_stride : nullptr;
+            const double* xhi = x < g.x_hi ? cur + xy_stride : nullptr;
+            const double* ylo = y > 0 ? cur - g.nz : nullptr;
+            const double* yhi = y < g.y_hi ? cur + g.nz : nullptr;
+
+            double ob = yd * r.mu1;
+            if (r.dynamic_users) {
+                if (x < g.x_hi) ob = ob + r.lambda;
+                ob = std::fma(xd, r.mu, ob);
+            }
+            const double w_ylo = xd * r.alpha;
+            if (y < g.y_hi) ob = ob + w_ylo;
+            const double w_xhi = (xd + 1.0) * r.mu;
+            const double w_yhi = (yd + 1.0) * r.mu1;
+
+            for (std::size_t z = 0; z < g.nz; ++z) {
+                double s = 0.0;
+                if (xlo) s = std::fma(r.lambda, xlo[z], s);
+                if (xhi) s = std::fma(w_xhi, xhi[z], s);
+                if (ylo) s = std::fma(w_ylo, ylo[z], s);
+                if (yhi) s = std::fma(w_yhi, yhi[z], s);
+                rhs[z] = s;
+            }
+            double b0 = ob + (g.z_hi > 0 ? arr : 0.0);
+            if (b0 <= 0.0) b0 = 1.0;
+            cp[0] = -r.mu2 / b0;
+            rhs[0] = rhs[0] / b0;
+            for (std::size_t z = 1; z < g.nz; ++z) {
+                const double b = (ob + r.mu2) + (z < g.z_hi ? arr : 0.0);
+                const double denom = std::fma(arr, cp[z - 1], b);
+                cp[z] = (z < g.z_hi ? -r.mu2 : 0.0) / denom;
+                rhs[z] = std::fma(arr, rhs[z - 1], rhs[z]) / denom;
+            }
+            cur[g.nz - 1] = rhs[g.nz - 1];
+            for (std::size_t z = g.nz - 1; z-- > 0;)
+                cur[z] = std::fma(-cp[z], cur[z + 1], rhs[z]);
+        }
+    }
+}
+
+// Index of the first element whose bits differ, or -1.
+long first_mismatch(const std::vector<double>& a, const std::vector<double>& b) {
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) return static_cast<long>(i);
+    return -1;
+}
+
+// Runs four alternating sweeps through the oracle and both kernel paths
+// from one random positive lattice, comparing every bit after each sweep.
+void expect_sweeps_match(const Grid& g, const Rates& r, std::uint64_t seed) {
+    hap::sim::RandomStream rng(seed);
+    std::vector<double> start(g.size());
+    for (double& v : start) v = rng.uniform(0.01, 1.0);
+    std::vector<double> ref = start;
+    std::vector<double> vec = start;
+    std::vector<double> sca = start;
+    detail::LineWorkspace ws_vec;
+    detail::LineWorkspace ws_sca;
+    for (int s = 0; s < 4; ++s) {
+        const bool forward = s % 2 == 0;
+        oracle_sweep(g, r, ref, forward);
+        detail::line_sweep(g, r, vec.data(), forward, ws_vec);
+        detail::line_sweep_scalar(g, r, sca.data(), forward, ws_sca);
+        SCOPED_TRACE(::testing::Message() << "box " << g.nx << "x" << g.ny << "x" << g.nz
+                                          << " sweep " << s);
+        ASSERT_EQ(first_mismatch(ref, vec), -1) << "path " << detail::line_sweep_path();
+        ASSERT_EQ(first_mismatch(ref, sca), -1) << "scalar path";
+    }
+    // The sweeps moved the lattice: the comparison is not vacuous.
+    EXPECT_NE(first_mismatch(start, ref), -1);
+}
+
+Rates random_rates(std::uint64_t seed, bool dynamic_users) {
+    hap::sim::RandomStream rng(seed);
+    Rates r{};
+    r.dynamic_users = dynamic_users;
+    r.lambda = rng.uniform(0.05, 2.0);
+    r.mu = rng.uniform(0.05, 1.0);
+    r.alpha = rng.uniform(0.05, 2.0);
+    r.mu1 = rng.uniform(0.05, 1.0);
+    r.beta = rng.uniform(0.5, 5.0);
+    r.mu2 = rng.uniform(5.0, 30.0);
+    return r;
+}
+
+TEST(LineSweep, MatchesLexicographicOracleBitForBit) {
+    struct Box {
+        std::size_t x_lo, x_hi, y_hi, z_hi;
+        bool dynamic_users;
+    };
+    const Box boxes[] = {
+        {0, 20, 50, 300, true},  // 21x51x301: diagonals of 1..21 lines
+        {0, 2, 2, 4, true},      // 3x3x5: one partial group per diagonal
+        {3, 3, 6, 19, false},    // nx = 1: pinned users
+        {0, 3, 4, 0, true},      // nz = 1 (z_hi = 0): no 4-row z block
+        {0, 2, 8, 1, true},      // nz = 2
+        {0, 11, 2, 16, true},    // ny < 8
+        {0, 9, 12, 6, true},     // nz = 7: one 4-row block and a 3-row tail
+        {0, 30, 40, 9, true},    // diagonals of up to 31 lines: four groups
+    };
+    std::uint64_t seed = 11;
+    for (const Box& b : boxes) {
+        const Grid g = detail::make_grid(b.x_lo, b.x_hi, b.y_hi, b.z_hi);
+        expect_sweeps_match(g, random_rates(seed, b.dynamic_users), seed + 1000);
+        if (HasFatalFailure()) return;
+        seed += 1;
+    }
+}
+
+TEST(LineSweep, ClampedIsolatedLineMatchesOracle) {
+    // Pinned users at x = 0: line (0, 0) has no way out (ob = 0) and no
+    // arrivals (arr = 0), so b0 = 0 hits the b0 <= 0 -> 1 clamp.
+    const Grid g = detail::make_grid(0, 0, 6, 9);
+    expect_sweeps_match(g, random_rates(5, false), 77);
+    const Grid flat = detail::make_grid(0, 0, 5, 0);  // and with z_hi = 0
+    expect_sweeps_match(flat, random_rates(6, false), 78);
 }
 
 }  // namespace
