@@ -1,17 +1,19 @@
 // Microbenchmarks (google-benchmark) for the hot paths: the DES calendar,
 // the CTMC HAP simulator, the exponential inversion (BlockRng's block
 // kernel against scalar libm log1p), the steady-state solvers (cold,
-// warm-started, and block-tridiagonal direct), Solution 0's line sweep, and
-// Solution 2.
+// warm-started, and block-tridiagonal direct), the dense LU inverse under
+// them, Solution 0's line sweep, and Solution 2.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/hap.hpp"
 #include "core/line_sweep.hpp"
 #include "markov/ctmc.hpp"
+#include "numerics/matrix.hpp"
 #include "sim/neglog1m.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -157,6 +159,28 @@ void BM_LumpedDirectSolve(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_LumpedDirectSolve);
+
+// Dense LU inverse (factor, then one multi-right-hand-side solve against the
+// identity): the kernel under the direct solve above (n = 51 is the Fig. 12
+// box's apps dimension) and under Solution 3's matrix-geometric R.
+void BM_DenseInverse(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    // Deterministic, diagonally dominant fill: well conditioned at any n.
+    hap::numerics::Matrix a(n, n);
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+            a(i, j) = static_cast<double>(h >> 11) * 0x1.0p-53 - 0.5;
+        }
+        a(i, i) += static_cast<double>(n);
+    }
+    for (auto _ : state) {
+        const hap::numerics::Matrix inv = hap::numerics::inverse(a);
+        benchmark::DoNotOptimize(inv(0, 0));
+    }
+}
+BENCHMARK(BM_DenseInverse)->Arg(51)->Arg(256);
 
 void BM_Solution2FullAnalysis(benchmark::State& state) {
     const HapParams p = HapParams::paper_baseline(20.0);

@@ -159,6 +159,46 @@ markov::SolveResult LumpedChain::solve(const markov::SolveOptions& opts) const {
     return markov::solve_steady_state(ctmc_, opts);
 }
 
+namespace {
+
+// The two diagonal block products of the censoring recursion, rounded
+// exactly where the dense-block form (R = A0 * inv and S = A1 + R * A2 as
+// Matrix products, the reference hap_chain_test compares against bit for
+// bit) rounds, for finite R. Contraction is off here whatever flags the
+// build passes: unpinned, s(i, j) += r(i, j) * d[j] fuses into an FMA,
+// while the dense form rounds r * d before Matrix::operator+ adds A1. The
+// one fusion the dense form does make is spelled out: operator*'s
+// zero-initialised accumulator takes a0 * inv as fma(a0, inv, +0.0).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+// R = diag(up) * inv, in place: row i of the inverse scaled by up[i].
+void scale_rows(numerics::Matrix& inv, const std::vector<double>& up) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    for (std::size_t i = 0; i < inv.rows(); ++i)
+        for (std::size_t j = 0; j < inv.cols(); ++j) inv(i, j) = std::fma(up[i], inv(i, j), 0.0);
+}
+
+// S = A1 + R * diag(down), in place on A1: column j of R scaled by down[j].
+void add_scaled_columns(numerics::Matrix& a1, const numerics::Matrix& r,
+                        const std::vector<double>& down) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    for (std::size_t i = 0; i < a1.rows(); ++i)
+        for (std::size_t j = 0; j < a1.cols(); ++j) a1(i, j) += r(i, j) * down[j];
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
+
+}  // namespace
+
 std::vector<double> LumpedChain::solve_direct() const {
     obs::ScopedTimer timer("chain.direct_solve_s");
     const std::size_t ny = y_hi_ + 1;
@@ -166,12 +206,15 @@ std::vector<double> LumpedChain::solve_direct() const {
     using numerics::Matrix;
 
     // Bin the transitions into block-tridiagonal form by user level:
-    // a0 = up (x -> x+1), a1 = local (same x), a2 = down (x -> x-1).
-    std::vector<Matrix> a0(nlev), a1(nlev), a2(nlev);
+    // a0 = up (x -> x+1), a1 = local (same x), a2 = down (x -> x-1). A user
+    // arrival or departure never changes y, so the up and down blocks are
+    // diagonal (lambda I and x mu I) and are kept as their diagonals.
+    std::vector<Matrix> a1(nlev);
+    std::vector<std::vector<double>> a0(nlev), a2(nlev);
     for (std::size_t lev = 0; lev < nlev; ++lev) {
         a1[lev] = Matrix(ny, ny, 0.0);
-        if (lev + 1 < nlev) a0[lev] = Matrix(ny, ny, 0.0);
-        if (lev > 0) a2[lev] = Matrix(ny, ny, 0.0);
+        if (lev + 1 < nlev) a0[lev].assign(ny, 0.0);
+        if (lev > 0) a2[lev].assign(ny, 0.0);
     }
     for (std::size_t from = 0; from < ctmc_.num_states(); ++from) {
         const markov::Ctmc::OutEdges out = ctmc_.out_edges(from);
@@ -183,10 +226,12 @@ std::vector<double> LumpedChain::solve_direct() const {
             const std::size_t yt = to % ny;
             if (lt == lf) {
                 a1[lf](yf, yt) += out.rate[e];
+            } else if (yt != yf) {
+                return {};  // an x move that also moves y: blocks not diagonal
             } else if (lt == lf + 1) {
-                a0[lf](yf, yt) += out.rate[e];
+                a0[lf][yf] += out.rate[e];
             } else if (lf == lt + 1) {
-                a2[lf](yf, yt) += out.rate[e];
+                a2[lf][yf] += out.rate[e];
             } else {
                 return {};  // |dx| > 1: not block tridiagonal
             }
@@ -200,11 +245,13 @@ std::vector<double> LumpedChain::solve_direct() const {
     // R_l = A0_l (-S_{l+1})^{-1}. The R matrices drive the forward pass
     // pi_{l+1} = pi_l R_l; level 0 satisfies pi_0 S_0 = 0.
     std::vector<Matrix> rmat(nlev);
-    Matrix s = a1[nlev - 1];
+    Matrix s = std::move(a1[nlev - 1]);
     try {
         for (std::size_t lev = nlev - 1; lev-- > 0;) {
-            rmat[lev] = a0[lev] * numerics::inverse(s * -1.0);
-            s = a1[lev] + rmat[lev] * a2[lev + 1];
+            rmat[lev] = numerics::inverse(s * -1.0);
+            scale_rows(rmat[lev], a0[lev]);
+            s = std::move(a1[lev]);
+            add_scaled_columns(s, rmat[lev], a2[lev + 1]);
         }
         // Left null vector of S_0 with unit mass: transpose and replace one
         // balance equation by the normalization row.

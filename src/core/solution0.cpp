@@ -37,7 +37,21 @@ struct Observables {
     double boundary_z = 0.0;  // z == z_hi shell alone (drives z growth)
 };
 
+// measure()'s rounding is pinned, whatever contraction the build allows:
+// contraction is off, the accumulators that GCC 12 -O3 -march=native fuses
+// in the plain `acc += p * w` loop (mean_z, throughput, sigma_num,
+// sigma_den; read off objdump) are spelled out with std::fma, and mean_x
+// and mean_y keep rounded products. Left to the compiler, an edit elsewhere
+// in the loop can change which products fuse and move the observables (and
+// the golden outputs) in their last bits.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
 Observables measure(const Grid& g, const Rates& r, const std::vector<double>& pi) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
     Observables o;
     // With pinned users (x_lo == x_hi) there is no x shell to truncate.
     const std::size_t x_shell = r.dynamic_users ? g.x_hi : static_cast<std::size_t>(-1);
@@ -46,14 +60,14 @@ Observables measure(const Grid& g, const Rates& r, const std::vector<double>& pi
             const double arr = static_cast<double>(y) * r.beta;
             for (std::size_t z = 0; z <= g.z_hi; ++z) {
                 const double p = pi[g.idx(x, y, z)];
-                o.mean_z += p * static_cast<double>(z);
+                o.mean_z = std::fma(p, static_cast<double>(z), o.mean_z);
                 o.mean_x += p * static_cast<double>(x);
                 o.mean_y += p * static_cast<double>(y);
                 if (z > 0) o.busy += p;
                 if (z < g.z_hi) {
-                    o.throughput += p * arr;
-                    o.sigma_den += p * arr;
-                    if (z > 0) o.sigma_num += p * arr;
+                    o.throughput = std::fma(p, arr, o.throughput);
+                    o.sigma_den = std::fma(p, arr, o.sigma_den);
+                    if (z > 0) o.sigma_num = std::fma(p, arr, o.sigma_num);
                 }
                 if (x == x_shell || y == g.y_hi || z == g.z_hi) o.boundary += p;
                 if (y == g.y_hi) o.boundary_y += p;
@@ -63,6 +77,9 @@ Observables measure(const Grid& g, const Rates& r, const std::vector<double>& pi
     }
     return o;
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
 
 void normalize(std::vector<double>& pi) {
     double total = 0.0;
@@ -71,19 +88,47 @@ void normalize(std::vector<double>& pi) {
     for (double& v : pi) v *= inv;
 }
 
+// Mass of every (x, y) line, in the LumpedChain's (x - x_lo) * ny + y
+// indexing: the masses project_marginal rescales, and the warm start of the
+// iterative modulating-chain solve. Each line is summed from 0.0 in
+// ascending z, as a one-line loop would sum it; eight lines run side by
+// side so that their independent add chains overlap instead of each
+// waiting on its own previous add.
+std::vector<double> line_totals(const Grid& g, const std::vector<double>& pi) {
+    constexpr std::size_t kLines = 8;
+    const std::size_t nz = g.nz;
+    std::vector<double> totals(g.nx * g.ny);
+    std::size_t line = 0;
+    for (; line + kLines <= totals.size(); line += kLines) {
+        const double* cur = pi.data() + line * nz;
+        double acc[kLines] = {};
+        for (std::size_t z = 0; z < nz; ++z)
+            for (std::size_t l = 0; l < kLines; ++l) acc[l] += cur[l * nz + z];
+        std::copy(acc, acc + kLines, totals.begin() + static_cast<long>(line));
+    }
+    for (; line < totals.size(); ++line) {
+        const double* cur = pi.data() + line * nz;
+        double total = 0.0;
+        for (std::size_t z = 0; z < nz; ++z) total += cur[z];
+        totals[line] = total;
+    }
+    return totals;
+}
+
 // Pin every (x, y) line's total mass to the exact modulating-chain marginal.
 // The modulating chain is autonomous (its dynamics do not depend on z), so
 // its stationary law is known independently and cheaply; enforcing it after
 // each sweep removes the slow "mass migration between lines" error mode that
 // otherwise makes Gauss-Seidel crawl on this nearly-decomposable system —
 // the very metastability that cost the paper two weeks of SUN-4/280 time.
+// (The scaling cannot ride the sweep's copy-out: lines later in a sweep read
+// earlier lines unscaled.)
 void project_marginal(const Grid& g, const std::vector<double>& marginal,
                       std::vector<double>& pi) {
-    const std::size_t lines = g.nx * g.ny;
-    for (std::size_t line = 0; line < lines; ++line) {
+    const std::vector<double> totals = line_totals(g, pi);
+    for (std::size_t line = 0; line < totals.size(); ++line) {
         double* cur = pi.data() + line * g.nz;
-        double total = 0.0;
-        for (std::size_t z = 0; z < g.nz; ++z) total += cur[z];
+        const double total = totals[line];
         const double target = marginal[line];
         if (total > 0.0) {
             const double f = target / total;
@@ -113,20 +158,6 @@ void remap_state(const std::vector<double>& src, const Grid& from, const Grid& t
             for (std::size_t z = 0; z <= z1; ++z) d[z] = s[z];
         }
     }
-}
-
-// Per-line mass of the lattice — the (x, y) marginal implied by `pi`, in the
-// LumpedChain's (x - x_lo) * ny + y indexing. Used to warm-start the
-// modulating-chain solve from the seeded lattice.
-std::vector<double> line_sums(const Grid& g, const std::vector<double>& pi) {
-    std::vector<double> sums(g.nx * g.ny, 0.0);
-    for (std::size_t line = 0; line < sums.size(); ++line) {
-        const double* cur = pi.data() + line * g.nz;
-        double total = 0.0;
-        for (std::size_t z = 0; z < g.nz; ++z) total += cur[z];
-        sums[line] = total;
-    }
-    return sums;
 }
 
 struct BoxSolve {
@@ -381,7 +412,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
                 mod_opts.threads = opts.threads;
                 mod_opts.coloring = opts.coloring;
                 if (have_seed) {
-                    mod_guess = line_sums(g, pi);
+                    mod_guess = line_totals(g, pi);
                     mod_opts.initial_guess = &mod_guess;
                 }
                 markov::SolveResult mod = mod_chain.solve(mod_opts);

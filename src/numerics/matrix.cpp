@@ -143,16 +143,40 @@ std::vector<double> LuDecomposition::solve(const std::vector<double>& b) const {
     return x;
 }
 
+// All right-hand sides at once, row by row: row i of X receives the same
+// x[i] -= lu(i, j) * x[j] updates, in the same j order, as the one-vector
+// solve above, so every column is bit-identical to solve(column). Only the
+// loop nest differs: the innermost loop runs along a row of X, so it is
+// contiguous and independent across columns instead of one serial chain.
 Matrix LuDecomposition::solve(const Matrix& b) const {
-    if (b.rows() != lu_.rows()) throw std::invalid_argument("LU::solve: shape mismatch");
-    Matrix out(b.rows(), b.cols());
-    std::vector<double> col(b.rows());
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-        for (std::size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
-        const std::vector<double> x = solve(col);
-        for (std::size_t i = 0; i < b.rows(); ++i) out(i, j) = x[i];
+    const std::size_t n = lu_.rows();
+    if (b.rows() != n) throw std::invalid_argument("LU::solve: shape mismatch");
+    const std::size_t m = b.cols();
+    Matrix x(n, m);
+    if (m == 0) return x;
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t k = 0; k < m; ++k) x(i, k) = b(pivot_[i], k);
+    // Forward substitution (unit lower triangle).
+    for (std::size_t i = 1; i < n; ++i) {
+        double* xi = &x(i, 0);
+        for (std::size_t j = 0; j < i; ++j) {
+            const double l = lu_(i, j);
+            const double* xj = &x(j, 0);
+            for (std::size_t k = 0; k < m; ++k) xi[k] -= l * xj[k];
+        }
     }
-    return out;
+    // Back substitution.
+    for (std::size_t ii = n; ii-- > 0;) {
+        double* xi = &x(ii, 0);
+        for (std::size_t j = ii + 1; j < n; ++j) {
+            const double u = lu_(ii, j);
+            const double* xj = &x(j, 0);
+            for (std::size_t k = 0; k < m; ++k) xi[k] -= u * xj[k];
+        }
+        const double d = lu_(ii, ii);
+        for (std::size_t k = 0; k < m; ++k) xi[k] /= d;
+    }
+    return x;
 }
 
 Matrix LuDecomposition::inverse() const { return solve(Matrix::identity(lu_.rows())); }

@@ -2,9 +2,16 @@
 // steady states against the M/M/inf closed forms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/hap_chain.hpp"
+#include "numerics/matrix.hpp"
 
 namespace {
 
@@ -196,6 +203,112 @@ TEST(LumpedChainTest, DirectSolveMatchesIterativeForPinnedUsers) {
     ASSERT_TRUE(iter.converged);
     for (std::size_t s = 0; s < chain.num_states(); ++s)
         EXPECT_NEAR(direct[s], iter.pi[s], 1e-9);
+}
+
+// The block elimination in dense-block form: A0 and A2 stored as full
+// ny x ny matrices, R = A0 * (-S)^-1 and S = A1 + R * A2 as dense products,
+// and the inverse taken one column at a time. solve_direct keeps A0/A2 as
+// diagonals and uses a multi-column solve; it must reproduce this reference
+// bit for bit.
+std::vector<double> dense_reference_solve(const LumpedChain& chain) {
+    using hap::numerics::LuDecomposition;
+    using hap::numerics::Matrix;
+    const hap::markov::Ctmc& ctmc = chain.ctmc();
+    const std::size_t ny = chain.y_hi() + 1;
+    const std::size_t nlev = chain.x_hi() - chain.x_lo() + 1;
+    const auto inverse_by_columns = [](const Matrix& a) {
+        const LuDecomposition lu(a);
+        const std::size_t n = a.rows();
+        Matrix inv(n, n);
+        for (std::size_t j = 0; j < n; ++j) {
+            std::vector<double> e(n, 0.0);
+            e[j] = 1.0;
+            const std::vector<double> x = lu.solve(e);
+            for (std::size_t i = 0; i < n; ++i) inv(i, j) = x[i];
+        }
+        return inv;
+    };
+
+    std::vector<Matrix> a0(nlev), a1(nlev), a2(nlev);
+    for (std::size_t lev = 0; lev < nlev; ++lev) {
+        a1[lev] = Matrix(ny, ny, 0.0);
+        if (lev + 1 < nlev) a0[lev] = Matrix(ny, ny, 0.0);
+        if (lev > 0) a2[lev] = Matrix(ny, ny, 0.0);
+    }
+    for (std::size_t from = 0; from < ctmc.num_states(); ++from) {
+        const hap::markov::Ctmc::OutEdges out = ctmc.out_edges(from);
+        const std::size_t lf = from / ny;
+        const std::size_t yf = from % ny;
+        for (std::size_t e = 0; e < out.count; ++e) {
+            const std::size_t lt = out.to[e] / ny;
+            const std::size_t yt = out.to[e] % ny;
+            if (lt == lf) a1[lf](yf, yt) += out.rate[e];
+            else if (lt == lf + 1) a0[lf](yf, yt) += out.rate[e];
+            else a2[lf](yf, yt) += out.rate[e];
+        }
+    }
+    for (std::size_t lev = 0; lev < nlev; ++lev)
+        for (std::size_t y = 0; y < ny; ++y) a1[lev](y, y) -= ctmc.exit_rate(lev * ny + y);
+
+    std::vector<Matrix> rmat(nlev);
+    Matrix s = a1[nlev - 1];
+    for (std::size_t lev = nlev - 1; lev-- > 0;) {
+        rmat[lev] = a0[lev] * inverse_by_columns(s * -1.0);
+        s = a1[lev] + rmat[lev] * a2[lev + 1];
+    }
+    Matrix m = s.transposed();
+    for (std::size_t j = 0; j < ny; ++j) m(ny - 1, j) = 1.0;
+    std::vector<double> rhs(ny, 0.0);
+    rhs[ny - 1] = 1.0;
+    std::vector<double> level = LuDecomposition(m).solve(rhs);
+    std::vector<double> pi(ctmc.num_states(), 0.0);
+    std::copy(level.begin(), level.end(), pi.begin());
+    for (std::size_t lev = 1; lev < nlev; ++lev) {
+        level = rmat[lev - 1].apply_left(level);
+        std::copy(level.begin(), level.end(), pi.begin() + static_cast<long>(lev * ny));
+    }
+    double peak = 0.0;
+    for (double v : pi) peak = std::max(peak, std::abs(v));
+    double total = 0.0;
+    for (double& v : pi) {
+        if (v < 0.0) {
+            if (v < -1e-12 * peak) throw std::runtime_error("reference: negative mass");
+            v = 0.0;
+        }
+        total += v;
+    }
+    for (double& v : pi) v /= total;
+    return pi;
+}
+
+void expect_direct_matches_dense_reference(const HapParams& p, const ChainBounds& b) {
+    const LumpedChain chain(p, b);
+    const std::vector<double> got = chain.solve_direct();
+    const std::vector<double> want = dense_reference_solve(chain);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t s = 0; s < got.size(); ++s)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[s]), std::bit_cast<std::uint64_t>(want[s]))
+            << "state " << s << " of " << got.size() << ": " << got[s] << " vs " << want[s];
+}
+
+ChainBounds box(std::size_t max_users, std::size_t max_apps) {
+    ChainBounds b;
+    b.max_users = max_users;
+    b.max_apps_total = max_apps;
+    return b;
+}
+
+TEST(LumpedChainTest, DirectSolveMatchesDenseEliminationBitForBit) {
+    // Pinned users: one level, no elimination step.
+    const HapParams pinned = HapParams::two_level(0.5, 0.5, 2.0, 50.0);
+    expect_direct_matches_dense_reference(pinned, ChainBounds::defaults_for(pinned));
+    // The analytic Fig. 12 box (21 x 51), and smaller and odd apps sizes.
+    expect_direct_matches_dense_reference(HapParams::paper_baseline(17.0), box(20, 50));
+    expect_direct_matches_dense_reference(small_hap(), box(8, 5));
+    expect_direct_matches_dense_reference(HapParams::paper_baseline(28.0), box(12, 30));
+    // The paper baseline's default box.
+    const HapParams base = HapParams::paper_baseline(20.0);
+    expect_direct_matches_dense_reference(base, ChainBounds::defaults_for(base));
 }
 
 TEST(LumpedChainTest, AdaptiveSolveMatchesStaticBounds) {

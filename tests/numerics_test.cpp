@@ -2,7 +2,11 @@
 // Laplace transforms.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "numerics/laplace.hpp"
 #include "numerics/matrix.hpp"
@@ -94,6 +98,86 @@ TEST(Lu, DeterminantWithPivoting) {
     Matrix a{{0, 1}, {1, 0}};  // forces a row swap; det = -1
     LuDecomposition lu(a);
     EXPECT_NEAR(lu.determinant(), -1.0, 1e-12);
+}
+
+// Deterministic fill in [-0.5, 0.5): no diagonal dominance, so partial
+// pivoting swaps rows.
+Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+    Matrix m(rows, cols);
+    std::uint64_t h = seed * 0x9e3779b97f4a7c15ULL + 1;
+    for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+            h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+            m(i, j) = static_cast<double>(h >> 11) * 0x1.0p-53 - 0.5;
+        }
+    }
+    return m;
+}
+
+// The per-column oracle: the one-vector solve, column by column. The
+// multi-column solve must match it bit for bit.
+Matrix solve_by_columns(const LuDecomposition& lu, const Matrix& b) {
+    Matrix out(b.rows(), b.cols());
+    std::vector<double> col(b.rows());
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+        for (std::size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
+        const std::vector<double> x = lu.solve(col);
+        for (std::size_t i = 0; i < b.rows(); ++i) out(i, j) = x[i];
+    }
+    return out;
+}
+
+void expect_bit_identical(const Matrix& got, const Matrix& want) {
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (std::size_t i = 0; i < got.rows(); ++i)
+        for (std::size_t j = 0; j < got.cols(); ++j)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                      std::bit_cast<std::uint64_t>(want(i, j)))
+                << "entry (" << i << ", " << j << ") of " << got.rows() << "x" << got.cols();
+}
+
+TEST(Lu, MultiRhsSolveMatchesPerColumnBitForBit) {
+    for (std::size_t n : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 51u, 64u}) {
+        const LuDecomposition lu(random_matrix(n, n, n));
+        for (std::size_t m : {std::size_t{1}, std::size_t{5}, n}) {
+            SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
+            const Matrix b = random_matrix(n, m, 1000 + n * 7 + m);
+            expect_bit_identical(lu.solve(b), solve_by_columns(lu, b));
+        }
+    }
+}
+
+TEST(Lu, InverseMatchesPerColumnBitForBit) {
+    for (std::size_t n : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 51u, 64u}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        const Matrix a = random_matrix(n, n, 77 + n);
+        const LuDecomposition lu(a);
+        const Matrix want = solve_by_columns(lu, Matrix::identity(n));
+        expect_bit_identical(lu.inverse(), want);
+        expect_bit_identical(hap::numerics::inverse(a), want);
+    }
+}
+
+TEST(Lu, MultiRhsSolveWithRowSwapsMatchesPerColumn) {
+    // Zero diagonal: every column needs a pivot swap.
+    const Matrix a{{0, 2, 1, 3}, {4, 0, 2, 1}, {1, 3, 0, 2}, {2, 1, 5, 0}};
+    const LuDecomposition lu(a);
+    const Matrix b = random_matrix(4, 5, 3);
+    const Matrix x = lu.solve(b);
+    expect_bit_identical(x, solve_by_columns(lu, b));
+    const Matrix ax = a * x;
+    for (std::size_t i = 0; i < 4; ++i)
+        for (std::size_t j = 0; j < 5; ++j) EXPECT_NEAR(ax(i, j), b(i, j), 1e-12);
+}
+
+TEST(Lu, MultiRhsSolveRejectsSingularAndMismatchedShapes) {
+    const Matrix singular{{1, 2, 3}, {2, 4, 6}, {1, 0, 1}};
+    EXPECT_THROW(LuDecomposition{singular}, std::domain_error);
+    EXPECT_THROW(hap::numerics::inverse(singular), std::domain_error);
+    const LuDecomposition lu(random_matrix(3, 3, 5));
+    EXPECT_THROW(lu.solve(Matrix(4, 2)), std::invalid_argument);
+    EXPECT_EQ(lu.solve(Matrix(3, 0)).cols(), 0u);
 }
 
 TEST(Quadrature, PolynomialExact) {
