@@ -245,26 +245,40 @@ void relax_avx2(const Group& grp, double* cp, double* rhs, std::size_t nz,
 
 #endif  // HAP_LINE_SWEEP_AVX2
 
-// Walk the anti-diagonals d = xi + yi of the traversal order. Lines on one
-// diagonal never neighbor each other, and each reads the diagonal before it
-// as already relaxed and the one after it as not yet relaxed — the values
-// the lexicographic order gives it — so relaxing them together changes no
-// bit of the Gauss-Seidel iterate.
-template <class Relax>
-void sweep_diagonals(const Grid& g, const Rates& r, double* pi, bool forward,
-                     LineWorkspace& ws, Relax relax) {
-    if (ws.zero.size() < g.nz) {
-        ws.cp.assign(kLanes * g.nz, 0.0);
-        ws.rhs.assign(kLanes * g.nz, 0.0);
-        ws.zero.assign(g.nz, 0.0);
+void size_workspace(LineWorkspace& ws, std::size_t nz) {
+    if (ws.zero.size() < nz) {
+        ws.cp.assign(kLanes * nz, 0.0);
+        ws.rhs.assign(kLanes * nz, 0.0);
+        ws.zero.assign(nz, 0.0);
     }
+}
+
+// The scratch of a runtime worker thread, kept across sweeps and solves.
+thread_local LineWorkspace t_worker_ws;
+
+// Walk the anti-diagonals d = xi + yi of the traversal order over the lines
+// of traversal columns [t0, t1). Lines on one diagonal never neighbor each
+// other, and each reads the diagonal before it as already relaxed and the
+// one after it as not yet relaxed — the values the lexicographic order
+// gives it — so relaxing them together changes no bit of the Gauss-Seidel
+// iterate. In a threaded sweep, column t0 - 1 belongs to the `upstream`
+// worker: column t0 relaxes diagonal d only once upstream has finished
+// diagonal d - 1, which also means upstream has read column t0's old
+// values; `done` publishes this block's progress the same way.
+template <class Relax>
+void sweep_columns(const Grid& g, const Rates& r, double* pi, bool forward,
+                   LineWorkspace& ws, Relax relax, std::size_t t0, std::size_t t1,
+                   const parallel::Signal* upstream, parallel::Signal* done) {
+    size_workspace(ws, g.nz);
     const double* zero = ws.zero.data();
     Group grp;
-    for (std::size_t d = 0; d + 1 < g.nx + g.ny; ++d) {
-        const std::size_t xi_first = d >= g.ny ? d - (g.ny - 1) : 0;
-        const std::size_t xi_end = std::min(d, g.nx - 1) + 1;
-        for (std::size_t xi0 = xi_first; xi0 < xi_end; xi0 += kLanes) {
-            grp.n = std::min(kLanes, xi_end - xi0);
+    for (std::size_t d = t0; d < t1 + g.ny - 1; ++d) {
+        const std::size_t lo = std::max(t0, d >= g.ny ? d - (g.ny - 1) : 0);
+        const std::size_t hi = std::min(t1, d + 1);
+        if (upstream != nullptr && lo == t0)
+            upstream->wait_at_least(static_cast<std::uint32_t>(d));
+        for (std::size_t xi0 = lo; xi0 < hi; xi0 += kLanes) {
+            grp.n = std::min(kLanes, hi - xi0);
             for (std::size_t l = 0; l < kLanes; ++l) {
                 if (l >= grp.n) {
                     set_idle(grp, l, zero);
@@ -278,22 +292,105 @@ void sweep_diagonals(const Grid& g, const Rates& r, double* pi, bool forward,
             }
             relax(grp, ws.cp.data(), ws.rhs.data(), g.nz, g.z_hi, r.mu2);
         }
+        if (done != nullptr) done->set(static_cast<std::uint32_t>(d + 1));
     }
+}
+
+// Worker w of `team` owns the x lines [w * nx / team, (w + 1) * nx / team)
+// in both directions, so they stay in its cache from sweep to sweep. Its
+// upstream is the block of lower x in a forward sweep, of higher x in a
+// backward one. The marginal projection waits for every block to finish
+// its sweep: until then a neighbor may still read this block's lines as
+// relaxed and unscaled.
+template <class Relax>
+void sweep(const Grid& g, const Rates& r, double* pi, bool forward, LineWorkspace& ws,
+           std::size_t workers, const double* marginal, Relax relax) {
+    const std::size_t lines = g.nx * g.ny;
+    parallel::Team team(std::max<std::size_t>(1, std::min(workers, g.nx)));
+    const std::size_t n = team.size();
+    if (n == 1) {
+        sweep_columns(g, r, pi, forward, ws, relax, 0, g.nx, nullptr, nullptr);
+        if (marginal != nullptr) project_lines(g, marginal, pi, 0, lines);
+        return;
+    }
+    if (ws.progress.size() < n) ws.progress = std::vector<parallel::Signal>(n);
+    parallel::Signal* progress = ws.progress.data();
+    for (std::size_t w = 0; w < n; ++w) progress[w].set(0);
+    const auto all_done = static_cast<std::uint32_t>(g.nx + g.ny - 1);
+    auto body = [&](std::size_t w) {
+        const std::size_t a = w * g.nx / n;
+        const std::size_t b = (w + 1) * g.nx / n;
+        const bool first = forward ? w == 0 : w + 1 == n;
+        const parallel::Signal* upstream =
+            first ? nullptr : &progress[forward ? w - 1 : w + 1];
+        const std::size_t t0 = forward ? a : g.nx - b;
+        const std::size_t t1 = forward ? b : g.nx - a;
+        sweep_columns(g, r, pi, forward, w == 0 ? ws : t_worker_ws, relax, t0, t1,
+                      upstream, &progress[w]);
+        progress[w].set(all_done);
+        if (marginal == nullptr) return;
+        for (std::size_t v = 0; v < n; ++v) progress[v].wait_at_least(all_done);
+        project_lines(g, marginal, pi, a * g.ny, b * g.ny);
+    };
+    team.run(body);
 }
 
 }  // namespace
 
+void line_totals(const Grid& g, const double* pi, std::size_t lo, std::size_t hi,
+                 double* out) {
+    // Eight lines side by side, so that their independent add chains
+    // overlap instead of each waiting on its own previous add.
+    constexpr std::size_t kLines = 8;
+    const std::size_t nz = g.nz;
+    std::size_t line = lo;
+    for (; line + kLines <= hi; line += kLines) {
+        const double* cur = pi + line * nz;
+        double acc[kLines] = {};
+        for (std::size_t z = 0; z < nz; ++z)
+            for (std::size_t l = 0; l < kLines; ++l) acc[l] += cur[l * nz + z];
+        std::copy(acc, acc + kLines, out + (line - lo));
+    }
+    for (; line < hi; ++line) {
+        const double* cur = pi + line * nz;
+        double total = 0.0;
+        for (std::size_t z = 0; z < nz; ++z) total += cur[z];
+        out[line - lo] = total;
+    }
+}
+
+void project_lines(const Grid& g, const double* marginal, double* pi, std::size_t lo,
+                   std::size_t hi) {
+    constexpr std::size_t kLines = 8;
+    double totals[kLines] = {};
+    for (std::size_t line0 = lo; line0 < hi; line0 += kLines) {
+        const std::size_t n = std::min(kLines, hi - line0);
+        line_totals(g, pi, line0, line0 + n, totals);
+        for (std::size_t l = 0; l < n; ++l) {
+            double* cur = pi + (line0 + l) * g.nz;
+            const double target = marginal[line0 + l];
+            if (totals[l] > 0.0) {
+                const double f = target / totals[l];
+                for (std::size_t z = 0; z < g.nz; ++z) cur[z] *= f;
+            } else {
+                for (std::size_t z = 0; z < g.nz; ++z) cur[z] = 0.0;
+                cur[0] = target;
+            }
+        }
+    }
+}
+
 void line_sweep_scalar(const Grid& g, const Rates& r, double* pi, bool forward,
-                       LineWorkspace& ws) {
-    sweep_diagonals(g, r, pi, forward, ws, relax_scalar);
+                       LineWorkspace& ws, std::size_t workers, const double* marginal) {
+    sweep(g, r, pi, forward, ws, workers, marginal, relax_scalar);
 }
 
 void line_sweep(const Grid& g, const Rates& r, double* pi, bool forward,
-                LineWorkspace& ws) {
+                LineWorkspace& ws, std::size_t workers, const double* marginal) {
 #ifdef HAP_LINE_SWEEP_AVX2
-    sweep_diagonals(g, r, pi, forward, ws, relax_avx2);
+    sweep(g, r, pi, forward, ws, workers, marginal, relax_avx2);
 #else
-    sweep_diagonals(g, r, pi, forward, ws, relax_scalar);
+    sweep(g, r, pi, forward, ws, workers, marginal, relax_scalar);
 #endif
 }
 

@@ -14,6 +14,7 @@
 #include "core/line_sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace hap::core {
 
@@ -26,10 +27,9 @@ using detail::Rates;
 
 struct Observables {
     double mean_z = 0.0;
-    double throughput = 0.0;
+    double throughput = 0.0;  // also the denominator of sigma
     double busy = 0.0;
     double sigma_num = 0.0;
-    double sigma_den = 0.0;
     double mean_x = 0.0;
     double mean_y = 0.0;
     double boundary = 0.0;    // union of the three shells (reported mass)
@@ -39,15 +39,28 @@ struct Observables {
 
 // measure()'s rounding is pinned, whatever contraction the build allows:
 // contraction is off, the accumulators that GCC 12 -O3 -march=native fuses
-// in the plain `acc += p * w` loop (mean_z, throughput, sigma_num,
-// sigma_den; read off objdump) are spelled out with std::fma, and mean_x
-// and mean_y keep rounded products. Left to the compiler, an edit elsewhere
-// in the loop can change which products fuse and move the observables (and
-// the golden outputs) in their last bits.
+// in the plain `acc += p * w` loop (mean_z, throughput, sigma_num; read off
+// objdump) are spelled out with std::fma, and mean_x and mean_y keep
+// rounded products. Left to the compiler, an edit elsewhere in the loop can
+// change which products fuse and move the observables (and the golden
+// outputs) in their last bits. Every accumulator adds the states in
+// (x, y, z) order; z = 0 and z = z_hi are peeled off each line, and the
+// shell sums run in loops of their own, so that the interior runs without
+// per-state tests.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC push_options
 #pragma GCC optimize("fp-contract=off")
 #endif
+// One state's share of E[z], E[x] and E[y].
+void add_moments(Observables& o, double p, double xd, double yd, double zd) {
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#endif
+    o.mean_z = std::fma(p, zd, o.mean_z);
+    o.mean_x += p * xd;
+    o.mean_y += p * yd;
+}
+
 Observables measure(const Grid& g, const Rates& r, const std::vector<double>& pi) {
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
@@ -56,23 +69,44 @@ Observables measure(const Grid& g, const Rates& r, const std::vector<double>& pi
     // With pinned users (x_lo == x_hi) there is no x shell to truncate.
     const std::size_t x_shell = r.dynamic_users ? g.x_hi : static_cast<std::size_t>(-1);
     for (std::size_t x = g.x_lo; x <= g.x_hi; ++x) {
+        const double xd = static_cast<double>(x);
         for (std::size_t y = 0; y <= g.y_hi; ++y) {
-            const double arr = static_cast<double>(y) * r.beta;
-            for (std::size_t z = 0; z <= g.z_hi; ++z) {
-                const double p = pi[g.idx(x, y, z)];
-                o.mean_z = std::fma(p, static_cast<double>(z), o.mean_z);
-                o.mean_x += p * static_cast<double>(x);
-                o.mean_y += p * static_cast<double>(y);
-                if (z > 0) o.busy += p;
-                if (z < g.z_hi) {
-                    o.throughput = std::fma(p, arr, o.throughput);
-                    o.sigma_den = std::fma(p, arr, o.sigma_den);
-                    if (z > 0) o.sigma_num = std::fma(p, arr, o.sigma_num);
-                }
-                if (x == x_shell || y == g.y_hi || z == g.z_hi) o.boundary += p;
-                if (y == g.y_hi) o.boundary_y += p;
-                if (z == g.z_hi) o.boundary_z += p;
+            const double yd = static_cast<double>(y);
+            const double arr = yd * r.beta;
+            const bool top_y = y == g.y_hi;
+            const bool shell = x == x_shell || top_y;
+            const double* line = pi.data() + g.idx(x, y, 0);
+            // z = 0: the server is idle.
+            const double p0 = line[0];
+            add_moments(o, p0, xd, yd, 0.0);
+            if (g.z_hi == 0) {
+                o.boundary += p0;
+                if (top_y) o.boundary_y += p0;
+                o.boundary_z += p0;
+                continue;
             }
+            o.throughput = std::fma(p0, arr, o.throughput);
+            if (shell) o.boundary += p0;
+            if (top_y) o.boundary_y += p0;
+            for (std::size_t z = 1; z < g.z_hi; ++z) {
+                const double p = line[z];
+                add_moments(o, p, xd, yd, static_cast<double>(z));
+                o.busy += p;
+                o.throughput = std::fma(p, arr, o.throughput);
+                o.sigma_num = std::fma(p, arr, o.sigma_num);
+            }
+            // The shells' own accumulators, still in ascending z.
+            if (shell)
+                for (std::size_t z = 1; z < g.z_hi; ++z) o.boundary += line[z];
+            if (top_y)
+                for (std::size_t z = 1; z < g.z_hi; ++z) o.boundary_y += line[z];
+            // z = z_hi: the buffer is full and arrivals are lost.
+            const double pt = line[g.z_hi];
+            add_moments(o, pt, xd, yd, static_cast<double>(g.z_hi));
+            o.busy += pt;
+            o.boundary += pt;
+            if (top_y) o.boundary_y += pt;
+            o.boundary_z += pt;
         }
     }
     return o;
@@ -88,56 +122,17 @@ void normalize(std::vector<double>& pi) {
     for (double& v : pi) v *= inv;
 }
 
-// Mass of every (x, y) line, in the LumpedChain's (x - x_lo) * ny + y
-// indexing: the masses project_marginal rescales, and the warm start of the
-// iterative modulating-chain solve. Each line is summed from 0.0 in
-// ascending z, as a one-line loop would sum it; eight lines run side by
-// side so that their independent add chains overlap instead of each
-// waiting on its own previous add.
-std::vector<double> line_totals(const Grid& g, const std::vector<double>& pi) {
-    constexpr std::size_t kLines = 8;
-    const std::size_t nz = g.nz;
-    std::vector<double> totals(g.nx * g.ny);
-    std::size_t line = 0;
-    for (; line + kLines <= totals.size(); line += kLines) {
-        const double* cur = pi.data() + line * nz;
-        double acc[kLines] = {};
-        for (std::size_t z = 0; z < nz; ++z)
-            for (std::size_t l = 0; l < kLines; ++l) acc[l] += cur[l * nz + z];
-        std::copy(acc, acc + kLines, totals.begin() + static_cast<long>(line));
-    }
-    for (; line < totals.size(); ++line) {
-        const double* cur = pi.data() + line * nz;
-        double total = 0.0;
-        for (std::size_t z = 0; z < nz; ++z) total += cur[z];
-        totals[line] = total;
-    }
-    return totals;
-}
-
 // Pin every (x, y) line's total mass to the exact modulating-chain marginal.
 // The modulating chain is autonomous (its dynamics do not depend on z), so
 // its stationary law is known independently and cheaply; enforcing it after
 // each sweep removes the slow "mass migration between lines" error mode that
 // otherwise makes Gauss-Seidel crawl on this nearly-decomposable system —
 // the very metastability that cost the paper two weeks of SUN-4/280 time.
-// (The scaling cannot ride the sweep's copy-out: lines later in a sweep read
-// earlier lines unscaled.)
+// The sweeps project as they finish (detail::line_sweep's `marginal`);
+// this is the projection of a seed before the first sweep.
 void project_marginal(const Grid& g, const std::vector<double>& marginal,
                       std::vector<double>& pi) {
-    const std::vector<double> totals = line_totals(g, pi);
-    for (std::size_t line = 0; line < totals.size(); ++line) {
-        double* cur = pi.data() + line * g.nz;
-        const double total = totals[line];
-        const double target = marginal[line];
-        if (total > 0.0) {
-            const double f = target / total;
-            for (std::size_t z = 0; z < g.nz; ++z) cur[z] *= f;
-        } else {
-            for (std::size_t z = 0; z < g.nz; ++z) cur[z] = 0.0;
-            cur[0] = target;
-        }
-    }
+    detail::project_lines(g, marginal.data(), pi.data(), 0, g.nx * g.ny);
 }
 
 // Zero-pad / crop a lattice from one box onto another: overlapping
@@ -176,7 +171,7 @@ struct BoxSolve {
 BoxSolve solve_box(const Grid& g, const Rates& r, const std::vector<double>& marginal,
                    std::vector<double>& pi, double tol, std::size_t check_every,
                    std::size_t max_sweeps, bool verbose, LineWorkspace& ws,
-                   const WallDeadline& deadline) {
+                   std::size_t workers, const WallDeadline& deadline) {
     BoxSolve out;
     const auto loop_start = std::chrono::steady_clock::now();
     const auto elapsed_s = [loop_start] {
@@ -187,8 +182,7 @@ BoxSolve solve_box(const Grid& g, const Rates& r, const std::vector<double>& mar
     double prev_delay = -1.0;
     double prev_z = -1.0;
     for (std::size_t s = 1; s <= max_sweeps; ++s) {
-        detail::line_sweep(g, r, pi.data(), (s % 2) == 1, ws);
-        project_marginal(g, marginal, pi);
+        detail::line_sweep(g, r, pi.data(), (s % 2) == 1, ws, workers, marginal.data());
         if (s % check_every == 0 || s == max_sweeps) {
             const Observables o = measure(g, r, pi);
             const double delay = o.throughput > 0.0 ? o.mean_z / o.throughput : 0.0;
@@ -359,6 +353,12 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     }
 
     LineWorkspace ws;
+    // The line sweeps run on the parallel runtime, bit-identical at any
+    // worker count; HAP_BENCH_THREADS=1 keeps them on this thread. Blocks
+    // of up to eight x lines make each worker's share of a diagonal one
+    // eight-lane group, so the pipeline takes nx + ny - 1 group steps
+    // whatever the count: more workers would only add hand-offs.
+    const std::size_t sweep_workers = std::min(parallel::env_threads(), (g.nx + 7) / 8);
     std::vector<double> mod_guess;
     // One CSR builder for every modulating-chain rebuild along the y growths:
     // the assembly arenas are reused instead of re-grown per box.
@@ -412,7 +412,9 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
                 mod_opts.threads = opts.threads;
                 mod_opts.coloring = opts.coloring;
                 if (have_seed) {
-                    mod_guess = line_totals(g, pi);
+                    mod_guess.resize(g.nx * g.ny);
+                    detail::line_totals(g, pi.data(), 0, mod_guess.size(),
+                                        mod_guess.data());
                     mod_opts.initial_guess = &mod_guess;
                 }
                 markov::SolveResult mod = mod_chain.solve(mod_opts);
@@ -446,7 +448,8 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
             // that still needs growing never pays for a tight solve.
             const double coarse_tol = std::max(opts.tol, 1e-6);
             const BoxSolve b = solve_box(g, r, marginal, pi, coarse_tol, ck,
-                                         budget, opts.verbose, ws, deadline);
+                                         budget, opts.verbose, ws, sweep_workers,
+                                         deadline);
             total_sweeps += b.sweeps;
             sweep_s_total += b.sweep_s;
             state_updates += static_cast<std::uint64_t>(b.sweeps) * g.size();
@@ -488,7 +491,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         }
 
         fin = solve_box(g, r, marginal, pi, opts.tol, ck, budget, opts.verbose,
-                        ws, deadline);
+                        ws, sweep_workers, deadline);
         total_sweeps += fin.sweeps;
         sweep_s_total += fin.sweep_s;
         state_updates += static_cast<std::uint64_t>(fin.sweeps) * g.size();
@@ -508,7 +511,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     res.mean_rate = o.throughput;
     res.mean_delay = o.throughput > 0.0 ? o.mean_z / o.throughput : 0.0;
     res.utilization = o.busy;
-    res.sigma = o.sigma_den > 0.0 ? o.sigma_num / o.sigma_den : 0.0;
+    res.sigma = o.throughput > 0.0 ? o.sigma_num / o.throughput : 0.0;
     res.mean_users = o.mean_x;
     res.mean_apps = o.mean_y;
     res.truncation_mass = o.boundary;

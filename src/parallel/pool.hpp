@@ -1,12 +1,13 @@
 // Resident worker pool for long-lived services.
 //
-// parallel_for (the batch primitive) spawns workers per call and joins them
-// before returning — the right shape for a sweep, the wrong one for a daemon
-// that must keep threads alive across an unbounded stream of connections.
-// Pool is the resident counterpart: a fixed set of workers draining a FIFO
-// job queue until shutdown. Like parallel_for it lives in src/parallel/, the
-// single sanctioned thread-spawning layer (tools/haplint enforces this), so
-// the repo still has one place to reason about concurrency primitives.
+// parallel_for (the batch primitive) leases a team of the persistent
+// runtime and joins it before returning — the right shape for a sweep, the
+// wrong one for a daemon whose connections block on I/O for as long as a
+// client likes. Pool is the resident counterpart: a fixed set of workers
+// draining a FIFO job queue until shutdown. Like parallel_for it lives in
+// src/parallel/, the single sanctioned thread-spawning layer (tools/haplint
+// enforces this), so the repo still has one place to reason about
+// concurrency primitives.
 //
 // Scheduling is deliberately dumb (one mutex, one condition variable, FIFO):
 // jobs here are whole client connections or batched solves, i.e. milliseconds

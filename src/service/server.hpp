@@ -55,7 +55,10 @@ struct ServeOptions {
     double trunc_tol = 1e-9;
     std::size_t max_sweeps = 8000;
     std::size_t zmax = 0;
-    std::size_t solver_threads = 1;  // colored-GS workers per solve
+    // Colored-GS workers for a solve's modulating chain. A miss's lattice
+    // line sweeps run on the parallel runtime regardless, when no other
+    // solve holds it (bit-identical either way).
+    std::size_t solver_threads = 1;
 
     std::uint32_t max_frame = kMaxFrameBody;
     // A connection must deliver a complete frame at least every

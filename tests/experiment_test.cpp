@@ -11,6 +11,7 @@
 #include "core/hap_params.hpp"
 #include "experiment/experiment.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/parallel_for.hpp"
 #include "stats/online_stats.hpp"
 
 namespace {
@@ -217,6 +218,27 @@ TEST(Runner, ParallelForPropagatesException) {
                                          if (i == 17) throw std::runtime_error("boom");
                                      }),
                  std::runtime_error);
+}
+
+TEST(Runtime, TeamRunsEveryWorkerOnceAndNestedTeamsInline) {
+    // A team leases the runtime; a team asked for inside it, by the caller
+    // or by a worker, runs inline on that thread.
+    hap::parallel::Team team(4);
+    ASSERT_GE(team.size(), 1u);
+    ASSERT_LE(team.size(), 4u);
+    std::vector<std::atomic<int>> ran(team.size());
+    std::vector<std::size_t> nested(team.size(), 0);
+    for (auto& r : ran) r = 0;
+    auto body = [&](std::size_t w) {
+        ++ran[w];
+        const hap::parallel::Team inner(3);
+        nested[w] = inner.size();
+    };
+    team.run(body);
+    for (std::size_t w = 0; w < team.size(); ++w) {
+        EXPECT_EQ(ran[w].load(), 1);
+        EXPECT_EQ(nested[w], 1u);
+    }
 }
 
 TEST(Scenario, ValidateRejectsBadSpecs) {

@@ -14,10 +14,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "core/hap.hpp"
 #include "core/line_sweep.hpp"
+#include "parallel/parallel_for.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -340,6 +342,174 @@ TEST(LineSweep, ClampedIsolatedLineMatchesOracle) {
     expect_sweeps_match(g, random_rates(5, false), 77);
     const Grid flat = detail::make_grid(0, 0, 5, 0);  // and with z_hi = 0
     expect_sweeps_match(flat, random_rates(6, false), 78);
+}
+
+// ---- Threaded line sweep --------------------------------------------------
+
+// project_lines' contract written out: each line summed from 0.0 in
+// ascending z, then scaled to its target (or all of it put at z = 0).
+void oracle_project(const Grid& g, const std::vector<double>& marginal,
+                    std::vector<double>& pi) {
+    for (std::size_t line = 0; line < g.nx * g.ny; ++line) {
+        double* cur = pi.data() + line * g.nz;
+        double total = 0.0;
+        for (std::size_t z = 0; z < g.nz; ++z) total += cur[z];
+        if (total > 0.0) {
+            const double f = marginal[line] / total;
+            for (std::size_t z = 0; z < g.nz; ++z) cur[z] *= f;
+        } else {
+            for (std::size_t z = 0; z < g.nz; ++z) cur[z] = 0.0;
+            cur[0] = marginal[line];
+        }
+    }
+}
+
+std::vector<double> random_lattice(std::size_t n, std::uint64_t seed, double lo, double hi) {
+    hap::sim::RandomStream rng(seed);
+    std::vector<double> v(n);
+    for (double& x : v) x = rng.uniform(lo, hi);
+    return v;
+}
+
+// Copies the cells two boxes share and zeroes the rest, as a box growth does.
+std::vector<double> regrid(const std::vector<double>& src, const Grid& from, const Grid& to) {
+    std::vector<double> dst(to.size(), 0.0);
+    for (std::size_t x = to.x_lo; x <= std::min(from.x_hi, to.x_hi); ++x)
+        for (std::size_t y = 0; y <= std::min(from.y_hi, to.y_hi); ++y)
+            for (std::size_t z = 0; z <= std::min(from.z_hi, to.z_hi); ++z)
+                dst[to.idx(x, y, z)] = src[from.idx(x, y, z)];
+    return dst;
+}
+
+constexpr std::size_t kWorkerCounts[] = {1, 2, 3, 4, 7};
+
+// Four alternating sweeps of the threaded kernel (both paths) against the
+// oracle at every worker count, with the fused marginal projection when
+// `project` is set; one workspace per path serves every count in turn.
+void expect_threaded_sweeps_match(const Grid& g, const Rates& r, std::uint64_t seed,
+                                  bool project) {
+    const std::vector<double> start = random_lattice(g.size(), seed, 0.01, 1.0);
+    const std::vector<double> marginal = random_lattice(g.nx * g.ny, seed + 1, 0.1, 2.0);
+    const double* m = project ? marginal.data() : nullptr;
+    detail::LineWorkspace ws_vec;
+    detail::LineWorkspace ws_sca;
+    for (const std::size_t workers : kWorkerCounts) {
+        std::vector<double> ref = start;
+        std::vector<double> vec = start;
+        std::vector<double> sca = start;
+        for (int s = 0; s < 4; ++s) {
+            const bool forward = s % 2 == 0;
+            oracle_sweep(g, r, ref, forward);
+            if (project) oracle_project(g, marginal, ref);
+            detail::line_sweep(g, r, vec.data(), forward, ws_vec, workers, m);
+            detail::line_sweep_scalar(g, r, sca.data(), forward, ws_sca, workers, m);
+            SCOPED_TRACE(::testing::Message()
+                         << "box " << g.nx << "x" << g.ny << "x" << g.nz << " workers "
+                         << workers << " sweep " << s << (project ? " projected" : ""));
+            ASSERT_EQ(first_mismatch(ref, vec), -1) << "path " << detail::line_sweep_path();
+            ASSERT_EQ(first_mismatch(ref, sca), -1) << "scalar path";
+        }
+        EXPECT_NE(first_mismatch(start, ref), -1);
+    }
+}
+
+TEST(LineSweep, ThreadedMatchesOracleAtAnyWorkerCount) {
+    struct Box {
+        std::size_t x_lo, x_hi, y_hi, z_hi;
+        bool dynamic_users;
+    };
+    const Box boxes[] = {
+        {0, 20, 50, 128, true},  // the Fig. 12 box: nx = 21 splits 5/5/5/6 on 4
+        {0, 2, 6, 9, true},      // nx = 3: fewer lines than 4 or 7 workers
+        {3, 3, 6, 19, false},    // pinned users (x_lo == x_hi): one block
+        {0, 6, 10, 5, true},     // nx = 7: one x line per worker at 7
+        {0, 9, 3, 0, true},      // nz = 1, ny < blocks' lag
+        {0, 30, 12, 7, true},    // blocks of 7-10 lines: groups span a block
+    };
+    std::uint64_t seed = 41;
+    for (const Box& b : boxes) {
+        const Grid g = detail::make_grid(b.x_lo, b.x_hi, b.y_hi, b.z_hi);
+        const Rates r = random_rates(seed, b.dynamic_users);
+        expect_threaded_sweeps_match(g, r, seed + 1000, false);
+        if (HasFatalFailure()) return;
+        expect_threaded_sweeps_match(g, r, seed + 2000, true);
+        if (HasFatalFailure()) return;
+        seed += 1;
+    }
+}
+
+TEST(LineSweep, ThreadedSweepFollowsBoxGrowth) {
+    // A box that grows in y and z between sweeps, as the adaptive engine's
+    // does: the caller's and the workers' workspaces regrow and the
+    // iterate stays on the oracle's bits.
+    const Grid small = detail::make_grid(0, 12, 20, 30);
+    const Grid grown = detail::make_grid(0, 12, 31, 70);
+    const Rates r = random_rates(7, true);
+    const std::vector<double> start = random_lattice(small.size(), 8, 0.01, 1.0);
+    for (const std::size_t workers : kWorkerCounts) {
+        std::vector<double> ref = start;
+        std::vector<double> got = start;
+        detail::LineWorkspace ws;
+        for (int s = 0; s < 2; ++s) {
+            oracle_sweep(small, r, ref, s == 0);
+            detail::line_sweep(small, r, got.data(), s == 0, ws, workers);
+        }
+        ref = regrid(ref, small, grown);
+        got = regrid(got, small, grown);
+        for (int s = 0; s < 3; ++s) {
+            oracle_sweep(grown, r, ref, s % 2 == 0);
+            detail::line_sweep(grown, r, got.data(), s % 2 == 0, ws, workers);
+            ASSERT_EQ(first_mismatch(ref, got), -1) << "workers " << workers << " sweep " << s;
+        }
+    }
+}
+
+void expect_same_solve(const Solution0Result& a, const Solution0Result& b) {
+    EXPECT_EQ(std::memcmp(&a.mean_delay, &b.mean_delay, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&a.mean_messages, &b.mean_messages, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&a.utilization, &b.utilization, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&a.sigma, &b.sigma, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&a.truncation_mass, &b.truncation_mass, sizeof(double)), 0);
+    EXPECT_EQ(a.sweeps, b.sweeps);
+    EXPECT_EQ(a.box_growths, b.box_growths);
+    EXPECT_EQ(a.states, b.states);
+    EXPECT_EQ(first_mismatch(a.state.pi, b.state.pi), -1);
+}
+
+TEST(Solution0, ThreadedSolveMatchesSerialBitsNestedAndConcurrent) {
+    // An adaptive solve with box growths: holding the runtime's lease keeps
+    // its sweeps on this thread (the serial path), and the same solve run
+    // on the runtime, inside a parallel_for job, and from two threads at
+    // once must give the same bits.
+    const HapParams p = small_hap();
+    Solution0Options o;
+    o.max_messages = 200;
+    o.tol = 1e-8;
+    o.adaptive = true;
+    o.keep_state = true;
+    Solution0Result serial;
+    {
+        const hap::parallel::Team lease(2);
+        serial = solve_solution0(p, o);
+    }
+    ASSERT_TRUE(serial.converged);
+    ASSERT_GT(serial.box_growths, 0u);
+
+    expect_same_solve(solve_solution0(p, o), serial);
+
+    std::vector<Solution0Result> nested(3);
+    hap::parallel::parallel_for(3, nested.size(),
+                                [&](std::size_t i) { nested[i] = solve_solution0(p, o); });
+    for (const Solution0Result& res : nested) expect_same_solve(res, serial);
+
+    Solution0Result a;
+    Solution0Result b;
+    std::thread ta([&] { a = solve_solution0(p, o); });  // haplint: allow(naked-thread) -- two independent callers
+    std::thread tb([&] { b = solve_solution0(p, o); });  // haplint: allow(naked-thread) -- two independent callers
+    ta.join();  // haplint: allow(naked-thread) -- two independent callers
+    tb.join();  // haplint: allow(naked-thread) -- two independent callers
+    expect_same_solve(a, serial);
+    expect_same_solve(b, serial);
 }
 
 }  // namespace
