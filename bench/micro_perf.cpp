@@ -1,22 +1,24 @@
 // Microbenchmarks (google-benchmark) for the hot paths: the DES calendar,
-// the CTMC HAP simulator, the exponential inversion (BlockRng's block
-// kernel against scalar libm log1p), the steady-state solvers (cold,
-// warm-started, and block-tridiagonal direct), the dense LU inverse under
-// them, Solution 0's line sweep, and Solution 2.
+// the CTMC HAP simulator and the simulator lanes perfbench does not run,
+// the exponential inversion (BlockRng's block kernel against scalar libm
+// log1p), the steady-state solvers (cold, warm-started, and
+// block-tridiagonal direct), the dense LU inverse under them, Solution 0's
+// line sweep, and Solution 2.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "core/hap.hpp"
 #include "core/line_sweep.hpp"
 #include "markov/ctmc.hpp"
 #include "numerics/matrix.hpp"
+#include "queueing/queue_sim.hpp"
 #include "sim/neglog1m.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "traffic/poisson.hpp"
 
 namespace {
 
@@ -52,6 +54,61 @@ void BM_HapSimulator(benchmark::State& state) {
                             state.range(0) * 17);  // ~17 events per model second
 }
 BENCHMARK(BM_HapSimulator)->Arg(1000)->Arg(10000);
+
+// Simulator shapes perfbench's sim_fig12 does not run, in events per
+// second, each on a 5e3 warmup and one fixed stream per iteration:
+//   stress_10type  simulate_hap_queue on 10 application types (a 33-entry
+//                  category table), horizon 1e5;
+//   gm1_hap        simulate_queue_t<HapSource, Exponential>: HapSource::next
+//                  under the devirtualized G/M/1 kernel (the dispatcher
+//                  cannot name HapSource), Fig. 12 load 0.8, horizon 2e5;
+//   mm1_poisson    the same kernel driven by PoissonSource, horizon 4e5.
+// golden_test's GoldenSimLanes pins these shapes' event counts exactly.
+enum class SimLane { kStress10Type, kGm1Hap, kMm1Poisson };
+
+void BM_SimLane(benchmark::State& state, SimLane lane) {
+    HapParams ref = HapParams::paper_baseline(17.0);
+    ref.user_arrival_rate *= 0.8;
+    const hap::sim::Exponential service(17.0);
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        hap::sim::RandomStream rng(1);
+        double delay = 0.0;
+        if (lane == SimLane::kStress10Type) {
+            HapSimOptions opts;
+            opts.warmup = 5e3;
+            opts.horizon = opts.warmup + 1e5;
+            const auto res = simulate_hap_queue(
+                HapParams::homogeneous(0.0055, 0.001, 0.01, 0.01, 10, 0.1, 3, 22.0),
+                rng, opts);
+            events += res.events;
+            delay = res.delay.mean();
+        } else {
+            hap::queueing::QueueSimOptions opts;
+            opts.warmup = 5e3;
+            hap::queueing::QueueSimResult res;
+            if (lane == SimLane::kGm1Hap) {
+                HapSource arrivals(ref);
+                opts.horizon = opts.warmup + 2e5;
+                res = hap::queueing::simulate_queue_t(arrivals, service, rng, opts);
+            } else {
+                hap::traffic::PoissonSource arrivals(ref.mean_message_rate());
+                opts.horizon = opts.warmup + 4e5;
+                res = hap::queueing::simulate_queue_t(arrivals, service, rng, opts);
+            }
+            events += res.events;
+            delay = res.delay.mean();
+        }
+        benchmark::DoNotOptimize(delay);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+    state.SetLabel(hap::sim::neglog1m_path());
+}
+BENCHMARK_CAPTURE(BM_SimLane, stress_10type, SimLane::kStress10Type)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimLane, gm1_hap, SimLane::kGm1Hap)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimLane, mm1_poisson, SimLane::kMm1Poisson)
+    ->Unit(benchmark::kMillisecond);
 
 // One exponential draw through BlockRng: the amortized block refill
 // (uniforms plus the vector inversion of every slot) and the divide. The
@@ -129,8 +186,7 @@ BENCHMARK(BM_SteadyStateSolve);
 
 // The continuation engine's stationary regime: solve seeded with the
 // converged distribution of a 2%-perturbed neighbor chain, the seed a sweep
-// hands each point. HAP_BENCH_WARM=0 drops the guess, measuring the cold
-// baseline in the identical harness.
+// hands each point. BM_SteadyStateSolve above is the cold baseline.
 void BM_SteadyStateSolveWarm(benchmark::State& state) {
     const HapParams p = HapParams::paper_baseline(20.0);
     const ChainBounds b = ChainBounds::defaults_for(p);
@@ -139,7 +195,7 @@ void BM_SteadyStateSolveWarm(benchmark::State& state) {
     const auto seed = LumpedChain(q, b).solve();
     const LumpedChain chain(p, b);
     hap::markov::SolveOptions opts;
-    if (hap::bench::warm_starts()) opts.initial_guess = &seed.pi;
+    opts.initial_guess = &seed.pi;
     for (auto _ : state) {
         const auto res = chain.solve(opts);
         benchmark::DoNotOptimize(res.pi.data());

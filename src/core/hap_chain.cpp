@@ -314,67 +314,6 @@ std::vector<double> LumpedChain::solve_direct() const {
     }
 }
 
-AdaptiveLumpedResult solve_lumped_adaptive(const HapParams& params, double trunc_tol,
-                                           const markov::SolveOptions& base) {
-    HAP_CHECK_FINITE(trunc_tol);
-    if (!(trunc_tol > 0.0))
-        throw std::invalid_argument("solve_lumped_adaptive: trunc_tol must be positive");
-    const ChainBounds cap = ChainBounds::defaults_for(params);
-    // Effective y ceiling: the mass-based default, further clamped by any
-    // admission bound the params impose (lumped_shape applies the same
-    // clamp, so growing past it would loop forever on an unchanged chain).
-    std::size_t y_cap = cap.max_apps_total;
-    if (params.max_apps > 0) y_cap = std::min(y_cap, params.max_apps);
-
-    AdaptiveLumpedResult out;
-    out.bounds = cap;
-    out.bounds.max_apps_total = std::min(y_cap, std::size_t{8});
-
-    std::vector<double> guess;
-    // One builder across every growth step: each rebuilt chain assembles
-    // through the same COO/scatter arenas instead of re-growing them.
-    markov::CsrBuilder arena;
-    while (true) {
-        const LumpedChain chain(params, out.bounds, arena);
-        markov::SolveOptions opts = base;
-        // Zero-padded previous solution: the bulk of the mass sits in the
-        // low-y states shared by both boxes, so the grown solve starts next
-        // to its fixed point.
-        if (!guess.empty()) {
-            guess.resize(chain.num_states(), 0.0);
-            opts.initial_guess = &guess;
-        }
-        out.solve = chain.solve(opts);
-
-        // x == x_hi counts toward the shell only when x is genuinely
-        // truncated (dynamic users): for permanent users x_lo == x_hi and
-        // every state would otherwise be "boundary".
-        const bool x_truncated = chain.x_hi() > chain.x_lo();
-        double shell = 0.0;
-        for (std::size_t s = 0; s < chain.num_states(); ++s) {
-            if ((x_truncated && chain.users_of(s) == chain.x_hi()) ||
-                chain.apps_of(s) == chain.y_hi())
-                shell += out.solve.pi[s];
-        }
-        out.shell_mass = shell;
-        const bool at_cap = chain.y_hi() >= y_cap;
-        if (!out.solve.converged || shell < trunc_tol || at_cap) return out;
-
-        // Grow y geometrically. The (x - x_lo) * (y_hi + 1) + y indexing
-        // means a grown box is a row-wise zero-pad of the old vector.
-        const std::size_t old_ny = chain.y_hi() + 1;
-        const std::size_t new_y = std::min(y_cap, chain.y_hi() * 2 + 1);
-        const std::size_t nx = chain.x_hi() - chain.x_lo() + 1;
-        guess.assign(nx * (new_y + 1), 0.0);
-        for (std::size_t xi = 0; xi < nx; ++xi)
-            for (std::size_t y = 0; y < old_ny; ++y)
-                guess[xi * (new_y + 1) + y] = out.solve.pi[xi * old_ny + y];
-        out.bounds.max_apps_total = new_y;
-        ++out.growth_steps;
-        if (obs::enabled()) obs::registry().add_counter("chain.box_growth_steps");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // GeneralChain
 // ---------------------------------------------------------------------------

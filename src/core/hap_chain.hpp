@@ -103,22 +103,6 @@ private:
     markov::Ctmc ctmc_;
 };
 
-// Continuation solve of the lumped modulating chain: start from a small y
-// box, solve, and grow it geometrically until the boundary-shell mass
-// (states with x == x_hi or y == y_hi) drops below `trunc_tol`, warm-starting
-// each grown box from the previous solution (zero-padded). The growth is
-// capped at ChainBounds::defaults_for, so the adaptive solve never exceeds
-// the worst-case static box.
-struct [[nodiscard]] AdaptiveLumpedResult {
-    markov::SolveResult solve;       // steady state on the final bounds
-    ChainBounds bounds;              // bounds actually used
-    std::size_t growth_steps = 0;
-    double shell_mass = 0.0;         // boundary-shell mass of the final solve
-};
-
-AdaptiveLumpedResult solve_lumped_adaptive(const HapParams& params, double trunc_tol,
-                                           const markov::SolveOptions& base = {});
-
 namespace detail {
 // Shared helper: dense generator from any finalized Ctmc.
 numerics::Matrix dense_from_ctmc(const markov::Ctmc& chain);

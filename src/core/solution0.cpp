@@ -402,10 +402,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
             mb.max_users = g.x_hi;
             mb.max_apps_total = g.y_hi;
             const LumpedChain mod_chain(params, mb, mod_arena);
-            // The fallback-chain kernel swap bypasses the exact elimination
-            // and goes straight to the iterative path below.
-            marginal = opts.force_iterative_marginal ? std::vector<double>{}
-                                                     : mod_chain.solve_direct();
+            marginal = mod_chain.solve_direct();
             if (marginal.empty()) {
                 markov::SolveOptions mod_opts;
                 mod_opts.tol = mod_tol;

@@ -81,10 +81,6 @@ bool Pool::submit(std::function<void()> job) {
 void Pool::shutdown() {
     {
         const std::lock_guard<std::mutex> lock(impl_->mutex);
-        if (impl_->stopping) {
-            // Second caller: workers are already stopping; fall through to
-            // join below only from the thread that owns the joinable handles.
-        }
         impl_->stopping = true;
     }
     impl_->cv.notify_all();

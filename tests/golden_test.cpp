@@ -16,10 +16,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/hap.hpp"
 #include "experiment/experiment.hpp"
 #include "queueing/mm1.hpp"
+#include "queueing/queue_sim.hpp"
+#include "traffic/poisson.hpp"
 
 namespace {
 
@@ -161,6 +164,64 @@ TEST(GoldenFig12, Load080PointAtTestScale) {
     const hap::queueing::Mm1 mm1(sc.params.mean_message_rate(), 17.0);
     expect_rel(sc.params.mean_message_rate(), 6.6, 1e-9);
     EXPECT_GT(m.delay_mean.mean, mm1.mean_delay());
+}
+
+// One single-threaded simulator run on its own pinned substream, with the
+// 5e3 warmup every lane shares. The substream labels are the ones the
+// counts below were first recorded under.
+hap::sim::RandomStream lane_stream(const char* lane) {
+    return hap::sim::RandomStream::substream(
+        hap::experiment::kDefaultMasterSeed, 0,
+        hap::sim::component_id(std::string("sim_throughput.") + lane));
+}
+
+HapSimResult hap_lane(const char* lane, const HapParams& params, double horizon) {
+    HapSimOptions opts;
+    opts.warmup = 5e3;
+    opts.horizon = opts.warmup + horizon;
+    hap::sim::RandomStream rng = lane_stream(lane);
+    return simulate_hap_queue(params, rng, opts);
+}
+
+template <typename Arrivals>
+hap::queueing::QueueSimResult queue_lane(const char* lane, Arrivals& arrivals,
+                                         double horizon) {
+    hap::queueing::QueueSimOptions opts;
+    opts.warmup = 5e3;
+    opts.horizon = opts.warmup + horizon;
+    hap::sim::RandomStream rng = lane_stream(lane);
+    return hap::queueing::simulate_queue_t(arrivals, hap::sim::Exponential(17.0), rng,
+                                           opts);
+}
+
+TEST(GoldenSimLanes, EventCountsAndMeanDelays) {
+    // The four event-engine shapes, one run each: the Fig. 12 load-0.8
+    // reference, a 10-application-type HAP queue (33-entry category table),
+    // HapSource::next under the devirtualized G/M/1 kernel, and the
+    // Poisson-driven M/M/1 kernel. Any change to the draw sequence (one draw
+    // more per block refill or per next()) moves an event count.
+    HapParams ref = HapParams::paper_baseline(17.0);
+    ref.user_arrival_rate *= 0.8;
+
+    const HapSimResult fig12 = hap_lane("fig12_ref", ref, 2e5);
+    EXPECT_EQ(fig12.events, 2764120u);
+    expect_rel(fig12.delay.mean(), 6.308668119481803, 1e-9);
+
+    const HapSimResult stress = hap_lane(
+        "stress_10type",
+        HapParams::homogeneous(0.0055, 0.001, 0.01, 0.01, 10, 0.1, 3, 22.0), 1e5);
+    EXPECT_EQ(stress.events, 3409802u);
+    expect_rel(stress.delay.mean(), 176.6511308382099, 1e-9);
+
+    HapSource hap_src(ref);
+    const auto gm1 = queue_lane("gm1_hap", hap_src, 2e5);
+    EXPECT_EQ(gm1.events, 2416712u);
+    expect_rel(gm1.delay.mean(), 0.25350408803559754, 1e-9);
+
+    hap::traffic::PoissonSource poisson(ref.mean_message_rate());
+    const auto mm1 = queue_lane("mm1_poisson", poisson, 4e5);
+    EXPECT_EQ(mm1.events, 5349576u);
+    expect_rel(mm1.delay.mean(), 0.09619370828971177, 1e-9);
 }
 
 }  // namespace
